@@ -153,9 +153,6 @@ def _coerce(section: str, key: str, raw: str, target_type):
     return raw if raw else None
 
 
-_OPTIONAL_PREFIX = "str | None"
-
-
 def _field_types(cls):
     out = {}
     for f in fields(cls):
@@ -219,10 +216,17 @@ def load_sweep(path: str) -> SweepSpec:
         if not values:
             raise ConfigError(f"sweep axis {path_key} has no values")
         _resolve_path(base, path_key)  # raises on bad path
-        axes.append((path_key, [float(v) for v in values]))
+        axes.append((path_key, [_axis_value(path_key, v) for v in values]))
     if not axes:
         raise ConfigError("sweep section defines no axes")
     return SweepSpec(base=base, axes=axes)
+
+
+def _axis_value(path: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"sweep axis {path}: expected a number, got {raw!r}") from exc
 
 
 def _resolve_path(cfg: ExperimentConfig, path: str):

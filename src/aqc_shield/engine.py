@@ -7,18 +7,22 @@ tolerance.  Steps never cross a pulse edge: the schedule supplies
 breakpoints, and in the ideal-pulse limit w = 0 the pulses are applied as
 exact unitary kicks between free segments rather than as narrow windows.
 
-Three canonical runs share one code path: the coupled run under the full
+Three canonical runs share one integrator: the coupled run under the full
 Hamiltonian, the uncoupled twin with the system-bath term deleted but
 identical timing and pulses, and the closed adiabatic run with no control
-and no bath at all.  The interaction frame generated by the non-control
-system Hamiltonian and the bath defines the residual propagator whose
-Hermitian logarithm gives the error phase.
+and no bath at all.  Only the coupled run needs the joint system (x) bath
+space.  Without coupling the bath Hamiltonian commutes with everything
+else, so the twin is propagated on the 2^n system space and lifted as
+U_sys (x) exp(-i H_B T); at zero coupling the coupled run is the twin.
+The interaction frame generated by the non-control system Hamiltonian and
+the bath defines the residual propagator whose Hermitian logarithm gives
+the error phase.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -31,7 +35,9 @@ from .linalg import (
     op_norm,
     partial_trace,
 )
-from .model import AdiabaticSpec, SystemBathSpec, dense_terms, schedule_eval
+# ``dense_terms`` stays bound here for callers that wrap it at this module
+# (the benchmark tracer does); the engine itself reads the spec's cache.
+from .model import AdiabaticSpec, SystemBathSpec, dense_terms  # noqa: F401
 from .protocols import PulseSchedule, pulse_generator, slot_index
 from .codes import DecouplingGroup
 
@@ -77,7 +83,6 @@ class RunArtifacts:
     rho_s_final: np.ndarray
     h_eff: np.ndarray
     phi: float
-    psi_closed: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -124,8 +129,7 @@ def propagate_with_stats(
         return u, stats
     edges = {0.0, total_time}
     edges.update(b for b in breakpoints if 0.0 < b < total_time)
-    kick_times = sorted({t for t, _ in kicks})
-    edges.update(t for t in kick_times if 0.0 <= t <= total_time)
+    edges.update(t for t, _ in kicks if 0.0 <= t <= total_time)
     ordered = sorted(edges)
 
     def apply_kicks(t: float):
@@ -170,17 +174,11 @@ def _segment_unitary(h_of_t, a, b, tol, cfg, stats, hint=1) -> tuple[np.ndarray,
 
 def _fixed_steps(h_of_t, a, b, steps, cfg, stats) -> np.ndarray:
     dt = (b - a) / steps
-    dim = None
-    u = None
-    for i in range(steps):
-        step_u = _magnus4_step(h_of_t, a + i * dt, dt, cfg)
-        if u is None:
-            dim = step_u.shape[0]
-            u = step_u
-        else:
-            u = step_u @ u
+    u = _magnus4_step(h_of_t, a, dt, cfg)
+    for i in range(1, steps):
+        u = _magnus4_step(h_of_t, a + i * dt, dt, cfg) @ u
     stats["steps"] += steps
-    return u if u is not None else np.eye(dim or 1, dtype=complex)
+    return u
 
 
 def _magnus4_step(h_of_t, t0, dt, cfg) -> np.ndarray:
@@ -208,23 +206,16 @@ def instantaneous_ground_state(
     The phase is fixed by making the largest-magnitude amplitude real and
     positive, so repeated calls are deterministic.
     """
-    h = (1 - schedule_eval(spec.schedule.kind, s)[0]) * dense_terms(spec.h0_terms, spec.n) \
-        + schedule_eval(spec.schedule.kind, s)[0] * dense_terms(spec.h1_terms, spec.n)
+    h = spec.interpolate(s)
     basis = spec.code_basis
     if basis is not None:
-        evals, vecs = np.linalg.eigh(basis.conj().T @ h @ basis)
-        if len(evals) > 1 and evals[1] - evals[0] < degeneracy_tol:
-            raise DegenerateGroundStateError(
-                f"ground level degenerate at s={s} (splitting {evals[1] - evals[0]:.2e})"
-            )
-        psi = basis @ vecs[:, 0]
-    else:
-        evals, vecs = np.linalg.eigh(h)
-        if evals[1] - evals[0] < degeneracy_tol:
-            raise DegenerateGroundStateError(
-                f"ground level degenerate at s={s} (splitting {evals[1] - evals[0]:.2e})"
-            )
-        psi = vecs[:, 0]
+        h = basis.conj().T @ h @ basis
+    evals, vecs = np.linalg.eigh(h)
+    if len(evals) > 1 and evals[1] - evals[0] < degeneracy_tol:
+        raise DegenerateGroundStateError(
+            f"ground level degenerate at s={s} (splitting {evals[1] - evals[0]:.2e})"
+        )
+    psi = vecs[:, 0] if basis is None else basis @ vecs[:, 0]
     idx = int(np.argmax(np.abs(psi)))
     psi = psi * np.exp(-1j * np.angle(psi[idx]))
     return psi
@@ -242,13 +233,9 @@ def run_closed_adiabatic(
     if r < 1:
         raise ValueError(f"time dilation must be >= 1, got {r}")
     total = r * spec.total_time
-    h0 = dense_terms(spec.h0_terms, spec.n)
-    h1 = dense_terms(spec.h1_terms, spec.n)
-    kind = spec.schedule.kind
 
     def h(t: float) -> np.ndarray:
-        f = schedule_eval(kind, min(max(t / total, 0.0), 1.0))[0]
-        return (1 - f) * h0 + f * h1
+        return spec.interpolate(min(max(t / total, 0.0), 1.0))
 
     psi0 = instantaneous_ground_state(spec, 0.0)
     u = propagate(h, total, cfg)
@@ -270,29 +257,51 @@ def protected_hamiltonian(
     include_coupling: bool = True,
     include_control: bool = True,
 ) -> Callable[[float], np.ndarray]:
-    """Joint H(t) on system (x) bath for one protected run variant."""
-    n = spec.n
+    """H(t) of one protected run variant.
+
+    With ``include_coupling`` this is the joint H_sys(t) (x) I + I (x) H_B
+    + H_SB on system (x) bath, even when H_SB is zero.  Without it (the
+    uncoupled twin) it is H_sys(t) alone on the 2^n system space; the
+    commuting bath factor exp(-i H_B T) is applied by the caller.
+    """
+    return _timed_hamiltonian(
+        spec, schedule, penalty, penalty_during_pulse, include_control,
+        bath if include_coupling else None,
+    )
+
+
+def _timed_hamiltonian(
+    spec: AdiabaticSpec,
+    schedule: PulseSchedule,
+    penalty: np.ndarray | None,
+    penalty_during_pulse: bool,
+    include_control: bool,
+    bath: SystemBathSpec | None = None,
+) -> Callable[[float], np.ndarray]:
+    """H_sys(t) on 2^n: the interpolation, the (gated) penalty and, with
+    ``include_control``, the pulse generators.  With ``bath`` every term is
+    lifted once and the bath and coupling terms are added: the joint H(t)."""
     total = schedule.total_time
-    h0 = dense_terms(spec.h0_terms, n)
-    h1 = dense_terms(spec.h1_terms, n)
-    kind = spec.schedule.kind
-    eye_b = np.eye(bath.bath_dim)
-    h_b_lift = np.kron(np.eye(1 << n), bath.h_b)
+    if bath is None:
+        lift, constants = (lambda a: a), ()
+    else:
+        lift = lambda a: np.kron(a, np.eye(bath.bath_dim))  # noqa: E731
+        constants = (np.kron(np.eye(1 << spec.n), bath.h_b), bath.h_sb)
+    h0, h1 = lift(spec.H0), lift(spec.H1)
+    pen = None if penalty is None else lift(penalty)
     gens = None
     if include_control and schedule.w > 0:
-        gens = [pulse_generator(p, schedule.w) for p in schedule.pulses]
+        gens = [lift(pulse_generator(p, schedule.w)) for p in schedule.pulses]
 
     def h(t: float) -> np.ndarray:
-        f = schedule_eval(kind, min(max(t / total, 0.0), 1.0))[0]
-        h_sys = (1 - f) * h0 + f * h1
+        out = spec.interpolate(min(max(t / total, 0.0), 1.0), h0, h1)
         slot, in_window = slot_index(schedule, min(t, total))
-        if penalty is not None and (penalty_during_pulse or not in_window):
-            h_sys = h_sys + penalty
+        if pen is not None and (penalty_during_pulse or not in_window):
+            out = out + pen
         if gens is not None and in_window:
-            h_sys = h_sys + gens[slot % schedule.order]
-        out = np.kron(h_sys, eye_b) + h_b_lift
-        if include_coupling:
-            out = out + bath.h_sb
+            out = out + gens[slot % schedule.order]
+        for term in constants:
+            out = out + term
         return out
 
     return h
@@ -336,21 +345,7 @@ def _frame_unitary(
     total_time: float,
 ) -> np.ndarray:
     """U_frame = U_sys (x) U_bath generated by the non-control Hamiltonian."""
-    n = spec.n
-    h0 = dense_terms(spec.h0_terms, n)
-    h1 = dense_terms(spec.h1_terms, n)
-    kind = spec.schedule.kind
-    run_total = schedule.total_time
-
-    def h_sys(t: float) -> np.ndarray:
-        f = schedule_eval(kind, min(max(t / run_total, 0.0), 1.0))[0]
-        h = (1 - f) * h0 + f * h1
-        if penalty is not None:
-            _, in_window = slot_index(schedule, min(t, run_total))
-            if penalty_during_pulse or not in_window:
-                h = h + penalty
-        return h
-
+    h_sys = _timed_hamiltonian(spec, schedule, penalty, penalty_during_pulse, False)
     gated = penalty is not None and not penalty_during_pulse and schedule.w > 0
     bp = schedule_breakpoints(schedule, total_time) if gated else ()
     u_sys = propagate(h_sys, total_time, cfg, breakpoints=bp)
@@ -461,29 +456,30 @@ def run_protected(
     rho0 = np.kron(np.outer(psi0, psi0.conj()), rho_b0)
 
     breakpoints = schedule_breakpoints(schedule)
-    kicks = schedule_kicks(schedule, bath.bath_dim)
     u_frame = _frame_unitary(spec, bath, schedule, penalty, penalty_during_pulse, cfg, total)
 
-    artifacts = []
-    for include_coupling in (True, False):
-        h = protected_hamiltonian(
-            spec, bath, schedule, penalty, penalty_during_pulse,
-            include_coupling=include_coupling,
-        )
-        u_total, stats = propagate_with_stats(h, total, cfg, breakpoints, kicks)
+    def artifacts(u_total: np.ndarray, stats: dict, coupled: bool) -> RunArtifacts:
         rho_final = u_total @ rho0 @ u_total.conj().T
         rho_s = partial_trace(rho_final, (1 << n, bath.bath_dim), (0,))
         u_tilde = dagger(u_frame) @ u_total
         h_eff, phi = effective_hamiltonian(u_tilde, total)
-        stats.update(total_time=total, coupled=include_coupling)
-        artifacts.append(
-            RunArtifacts(
-                u_total=u_total,
-                rho_final=rho_final,
-                rho_s_final=rho_s,
-                h_eff=h_eff,
-                phi=phi,
-                diagnostics=stats,
-            )
-        )
-    return artifacts[0], artifacts[1]
+        stats.update(total_time=total, coupled=coupled)
+        return RunArtifacts(u_total, rho_final, rho_s, h_eff, phi, diagnostics=stats)
+
+    # The twin's generator is H_sys(t) (x) I + I (x) H_B with commuting
+    # parts, so its propagator is U_sys (x) exp(-i H_B T): propagate at 2^n.
+    h_sys = protected_hamiltonian(
+        spec, bath, schedule, penalty, penalty_during_pulse, include_coupling=False,
+    )
+    u_sys, stats = propagate_with_stats(h_sys, total, cfg, breakpoints, schedule_kicks(schedule, 1))
+    twin = artifacts(np.kron(u_sys, expm_hermitian(bath.h_b, total)), stats, coupled=False)
+    if not np.any(bath.h_sb):
+        # Zero coupling: the coupled run is the twin; it propagated nothing.
+        coupled_stats = dict(stats, steps=0, segments=0, coupled=True)
+        return replace(twin, diagnostics=coupled_stats), twin
+    h = protected_hamiltonian(
+        spec, bath, schedule, penalty, penalty_during_pulse, include_coupling=True,
+    )
+    kicks = schedule_kicks(schedule, bath.bath_dim)
+    u_total, stats = propagate_with_stats(h, total, cfg, breakpoints, kicks)
+    return artifacts(u_total, stats, coupled=True), twin

@@ -32,15 +32,6 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
-
-
-def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    d = u.shape[0]
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(d))) <= tol)
-
-
 def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL, what: str = "operator") -> None:
     dev = float(np.max(np.abs(a - a.conj().T)))
     if dev > tol:
@@ -52,21 +43,6 @@ def require_unitary(u: np.ndarray, tol: float = DEFAULT_TOL, what: str = "operat
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
     if dev > tol:
         raise ValueError(f"{what} is not unitary within {tol:g} (deviation {dev:.3e})")
-
-
-def check_state_vector(v: np.ndarray, tol: float = 1e-8) -> None:
-    if abs(np.linalg.norm(v) - 1.0) > tol:
-        raise ValueError(f"state vector norm {np.linalg.norm(v):.12g} != 1")
-
-
-def check_density_matrix(rho: np.ndarray, tol: float = 1e-8) -> None:
-    require_hermitian(rho, tol, "density matrix")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"density matrix trace {tr:.12g} != 1")
-    low = float(np.min(np.linalg.eigvalsh(rho)))
-    if low < -tol:
-        raise ValueError(f"density matrix has eigenvalue {low:.3e} below -{tol:g}")
 
 
 def expm_hermitian(h: np.ndarray, t: float = 1.0, tol: float = DEFAULT_TOL) -> np.ndarray:

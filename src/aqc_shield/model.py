@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -83,6 +84,26 @@ class AdiabaticSpec:
             if abs(complex(coeff).imag) > 0:
                 raise ValueError(f"coefficient {coeff} must be real")
 
+    @cached_property
+    def H0(self) -> np.ndarray:
+        """Dense H0, built on first use and shared read-only (as is H1)."""
+        return _read_only(dense_terms(self.h0_terms, self.n))
+
+    @cached_property
+    def H1(self) -> np.ndarray:
+        return _read_only(dense_terms(self.h1_terms, self.n))
+
+    def interpolate(self, s: float, h0=None, h1=None) -> np.ndarray:
+        """(1 - f(s)) H0 + f(s) H1, with ``h0``/``h1`` standing in for the
+        dense pair when given (e.g. their lifts to a system (x) bath space)."""
+        f = schedule_eval(self.schedule.kind, s)[0]
+        return (1 - f) * (self.H0 if h0 is None else h0) + f * (self.H1 if h1 is None else h1)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
 
 def dense_terms(terms: TermList, n: int) -> np.ndarray:
     """Dense sum of a coefficient/Pauli term list on n qubits."""
@@ -95,8 +116,7 @@ def dense_terms(terms: TermList, n: int) -> np.ndarray:
 
 def h_ad(spec: AdiabaticSpec, s: float) -> np.ndarray:
     """Dense H(s) = (1 - f(s)) H0 + f(s) H1."""
-    f = schedule_eval(spec.schedule.kind, s)[0]
-    return (1 - f) * dense_terms(spec.h0_terms, spec.n) + f * dense_terms(spec.h1_terms, spec.n)
+    return spec.interpolate(s)
 
 
 def universal_aqc_terms(
@@ -254,6 +274,10 @@ def min_gap(spec: AdiabaticSpec, grid_points: int = 101, refine: bool = True) ->
             h = basis.conj().T @ h @ basis
         return np.linalg.eigvalsh(h)
 
+    def gap_at(s: float) -> float:
+        e = levels(s)
+        return float(e[1] - e[0])
+
     energies = np.array([levels(s) for s in s_grid])
     gaps = energies[:, 1] - energies[:, 0]
     idx = int(np.argmin(gaps))
@@ -264,7 +288,7 @@ def min_gap(spec: AdiabaticSpec, grid_points: int = 101, refine: bool = True) ->
     if refine:
         lo = s_grid[max(idx - 1, 0)]
         hi = s_grid[min(idx + 1, grid_points - 1)]
-        s_star, gap = _golden_section(lambda s: float(levels(s)[1] - levels(s)[0]), lo, hi)
+        s_star, gap = _golden_section(gap_at, lo, hi)
         if gap < 1e-12:
             return SpectralReport(s_grid, energies, 0.0, s_star, degenerate=True)
     return SpectralReport(s_grid, energies, gap, s_star)

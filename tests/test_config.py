@@ -181,6 +181,12 @@ class TestSweep:
         with pytest.raises(ConfigError, match="not numeric"):
             load_sweep(str(path))
 
+    def test_non_numeric_axis_value(self, tmp_path):
+        path = tmp_path / "bad4.cfg"
+        path.write_text(MINIMAL + "\n[sweep]\nmodel.j = 0.1, abc\n")
+        with pytest.raises(ConfigError, match=r"model\.j.*'abc'"):
+            load_sweep(str(path))
+
     def test_empty_axis(self, tmp_path):
         path = tmp_path / "bad3.cfg"
         path.write_text(MINIMAL + "\n[sweep]\nmodel.j = ,\n")

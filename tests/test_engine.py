@@ -28,9 +28,9 @@ from aqc_shield.engine import (
 )
 from aqc_shield.linalg import expm_hermitian, op_norm, partial_trace
 from aqc_shield.metrics import trace_distance
-from aqc_shield.model import AdiabaticSpec, Schedule, SystemBathSpec, linear_decoherence
+from aqc_shield.model import AdiabaticSpec, Schedule, SystemBathSpec, h_ad, linear_decoherence
 from aqc_shield.pauli import PauliString, to_dense
-from aqc_shield.protocols import pdd_schedule
+from aqc_shield.protocols import pdd_schedule, pulse_generator, slot_index
 
 
 def one_qubit_spec(total_time=10.0, kind="smooth-endpoint"):
@@ -166,9 +166,19 @@ class TestClosedAdiabatic:
             run_closed_adiabatic(one_qubit_spec(), r=0.5)
 
 
+def transverse_field_spec(total_time):
+    """Unencoded 4-qubit model: its terms do not commute with the pulses."""
+    h0 = [(-1.0, PauliString.single(4, i, "X")) for i in range(4)]
+    h1 = [(-(0.8 + 0.1 * i), PauliString.single(4, i, "Z")) for i in range(4)]
+    h1 += [(-0.5, PauliString.single(4, i, "Z") * PauliString.single(4, i + 1, "Z"))
+           for i in range(3)]
+    return AdiabaticSpec(n=4, h0_terms=h0, h1_terms=h1, total_time=total_time)
+
+
 def quick_protected(j=0.1, total_time=2.0, tau=0.25, w=0.0, tol=1e-9, group=None,
-                    penalty=None, penalty_during_pulse=True, seed=11):
-    spec = encoded_spec(total_time)
+                    penalty=None, penalty_during_pulse=True, seed=11, n_b=1,
+                    spec_fn=encoded_spec):
+    spec = spec_fn(total_time)
     grp = group or universal_group(4)
     cycles = max(1, round(total_time / (grp.order * (tau + w))))
     schedule = pdd_schedule(grp, tau, w, cycles, j_coupling=j)
@@ -177,7 +187,7 @@ def quick_protected(j=0.1, total_time=2.0, tau=0.25, w=0.0, tol=1e-9, group=None
         schedule=spec.schedule, total_time=schedule.total_time,
         code_basis=spec.code_basis,
     )
-    bath = linear_decoherence(4, 1, j, seed=seed)
+    bath = linear_decoherence(4, n_b, j, seed=seed)
     coupled, uncoupled = run_protected(
         spec, bath, schedule, penalty=penalty,
         penalty_during_pulse=penalty_during_pulse,
@@ -186,11 +196,58 @@ def quick_protected(j=0.1, total_time=2.0, tau=0.25, w=0.0, tol=1e-9, group=None
     return spec, bath, schedule, coupled, uncoupled
 
 
+def joint_twin_propagator(spec, bath, schedule, penalty, penalty_during_pulse, tol):
+    """The uncoupled twin propagated on the joint space: H_sys(t) (x) I +
+    I (x) H_B with joint kicks, H_sys built here from h_ad, the gated
+    penalty and the pulse generators."""
+    total = schedule.total_time
+    gens = [pulse_generator(p, schedule.w) for p in schedule.pulses] if schedule.w > 0 else None
+    eye_b = np.eye(bath.bath_dim)
+    h_b = np.kron(np.eye(1 << spec.n), bath.h_b)
+
+    def h(t):
+        h_sys = h_ad(spec, min(max(t / total, 0.0), 1.0))
+        slot, in_window = slot_index(schedule, min(t, total))
+        if penalty is not None and (penalty_during_pulse or not in_window):
+            h_sys = h_sys + penalty
+        if gens is not None and in_window:
+            h_sys = h_sys + gens[slot % schedule.order]
+        return np.kron(h_sys, eye_b) + h_b
+
+    return propagate(h, total, IntegratorConfig(tol=tol),
+                     breakpoints=schedule_breakpoints(schedule),
+                     kicks=schedule_kicks(schedule, bath.bath_dim))
+
+
 class TestRunProtected:
     def test_zero_coupling_twins_identical(self):
         _, _, _, coupled, uncoupled = quick_protected(j=0.0)
         assert np.array_equal(coupled.rho_final, uncoupled.rho_final)
         assert trace_distance(coupled.rho_final, uncoupled.rho_final) == 0.0
+
+    def test_zero_coupling_twins_identical_two_bath_qubits(self):
+        _, _, _, coupled, uncoupled = quick_protected(j=0.0, n_b=2)
+        assert coupled.rho_final.shape == (64, 64)
+        assert np.array_equal(coupled.rho_final, uncoupled.rho_final)
+        assert trace_distance(coupled.rho_final, uncoupled.rho_final) == 0.0
+        # the coupled run is the twin and propagated nothing itself
+        assert coupled.diagnostics["steps"] == 0 and coupled.diagnostics["coupled"]
+        assert uncoupled.diagnostics["steps"] > 0
+
+    @pytest.mark.parametrize("n_b, w, gated_penalty", [(2, 0.0, False), (1, 0.05, True)])
+    def test_factorized_twin_matches_joint_propagation(self, n_b, w, gated_penalty):
+        # unencoded terms, so the pulses and the penalty gating act on the result
+        from aqc_shield.codes import penalty_hamiltonian
+        tol = 1e-9
+        pen = penalty_hamiltonian(universal_group(4), 0.4) if gated_penalty else None
+        spec, bath, schedule, _, uncoupled = quick_protected(
+            j=0.1, total_time=2.4 if w else 2.0, w=w, tol=tol, n_b=n_b,
+            penalty=pen, penalty_during_pulse=not gated_penalty,
+            spec_fn=transverse_field_spec,
+        )
+        reference = joint_twin_propagator(spec, bath, schedule, pen, not gated_penalty, tol)
+        assert uncoupled.u_total.shape == reference.shape == (16 << n_b, 16 << n_b)
+        assert op_norm(uncoupled.u_total - reference) <= 10 * tol
 
     def test_traces_preserved(self):
         _, _, _, coupled, uncoupled = quick_protected(j=0.15)

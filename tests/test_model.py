@@ -93,6 +93,63 @@ class TestHAd:
                           h1_terms=[])
 
 
+def encoded_preset_spec(n=6):
+    """The shipped universal-2local preset on n - 2 logical qubits, encoded."""
+    from aqc_shield.codes import code_from_universal_group, encode_hamiltonian
+    h0f, h1f, h0p, h1p = universal_2local_preset(n - 2)
+    code, _ = code_from_universal_group(n)
+    return AdiabaticSpec(
+        n=n,
+        h0_terms=encode_hamiltonian(universal_aqc_terms(h0f, h0p, n - 2), n),
+        h1_terms=encode_hamiltonian(universal_aqc_terms(h1f, h1p, n - 2), n),
+        schedule=Schedule("smooth-endpoint"),
+        total_time=1.0,
+        code_basis=code.basis_matrix(),
+    )
+
+
+def per_call_interpolate(spec, s, h0=None, h1=None):
+    """The interpolation as built before the cache: dense H0 and H1 from
+    the term lists on every call."""
+    f = schedule_eval(spec.schedule.kind, s)[0]
+    h0 = dense_terms(spec.h0_terms, spec.n) if h0 is None else h0
+    h1 = dense_terms(spec.h1_terms, spec.n) if h1 is None else h1
+    return (1 - f) * h0 + f * h1
+
+
+class TestCompiledModel:
+    S_POINTS = (0.0, 0.17, 0.5, 0.83, 1.0)
+
+    def test_h_ad_equals_per_call_build(self):
+        spec = encoded_preset_spec()
+        for s in self.S_POINTS:
+            assert np.array_equal(h_ad(spec, s), per_call_interpolate(spec, s))
+
+    def test_spectra_and_ground_states_equal_per_call_build(self, monkeypatch):
+        from aqc_shield.engine import instantaneous_ground_state
+        spec = encoded_preset_spec()
+        with monkeypatch.context() as patched:
+            patched.setattr(AdiabaticSpec, "interpolate", per_call_interpolate)
+            ref_gap = min_gap(spec)
+            ref_states = [instantaneous_ground_state(spec, s) for s in self.S_POINTS]
+        gap = min_gap(spec)
+        assert np.array_equal(gap.energies, ref_gap.energies)
+        assert (gap.gap, gap.s_star, gap.degenerate) == (
+            ref_gap.gap, ref_gap.s_star, ref_gap.degenerate)
+        for s, ref in zip(self.S_POINTS, ref_states):
+            assert np.array_equal(instantaneous_ground_state(spec, s), ref)
+
+    def test_dense_operators_built_once_and_read_only(self):
+        spec = encoded_preset_spec()
+        assert spec.H0 is spec.H0 and spec.H1 is spec.H1
+        for op in (spec.H0, spec.H1):
+            assert not op.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                op[0, 0] = 1.0
+        assert np.array_equal(spec.H0, dense_terms(spec.h0_terms, spec.n))
+        assert np.array_equal(spec.H1, dense_terms(spec.h1_terms, spec.n))
+
+
 class TestUniversalTerms:
     def test_empty(self):
         assert universal_aqc_terms({}, {}, 2) == []
