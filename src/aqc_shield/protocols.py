@@ -171,7 +171,6 @@ class ScalingRule:
     delta0: float = 1.0
     j_coupling: float = 1.0
     z: float | None = None
-    alpha: float = 1.0
     c_tau: float = 1.0
     c_w: float = 1.0
 

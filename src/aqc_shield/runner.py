@@ -101,7 +101,6 @@ def build_model(cfg: ExperimentConfig) -> BuiltModel:
             delta0=m.delta0,
             j_coupling=m.j,
             z=p.z,
-            alpha=r.alpha,
             c_tau=p.c_tau,
             c_w=p.c_w,
         )

@@ -74,6 +74,25 @@ class TestPropagate:
         fine = propagate(h, 1.5, IntegratorConfig(tol=5e-7))
         assert op_norm(fine - coarse) < 1e-6
 
+    def test_step_count_invariant_under_bath_lift(self, rng):
+        # h(t) (x) I_4 has the propagator differences of h(t) lifted, with
+        # equal operator norms but Frobenius norms twice as large: an
+        # operator-norm acceptance test takes the same steps on both.
+        a = random_hermitian(rng, 16) / 4
+        b = random_hermitian(rng, 16) / 4
+        eye = np.eye(4)
+        h = lambda t: a + math.sin(3 * t) * b
+        lifted = lambda t: np.kron(h(t), eye)
+        total, tol = 2.0, 1e-6
+        bp = tuple(total * k / 32 for k in range(1, 32))
+        ref = propagate(h, total, IntegratorConfig(tol=1e-11), bp)
+        u, stats = engine.propagate_with_stats(h, total, IntegratorConfig(tol=tol), bp)
+        u_lift, stats_lift = engine.propagate_with_stats(
+            lifted, total, IntegratorConfig(tol=tol), bp)
+        assert stats_lift["steps"] == stats["steps"]
+        assert op_norm(u - ref) <= tol
+        assert op_norm(u_lift - np.kron(ref, eye)) <= tol
+
     def test_kicks_applied_in_order(self):
         x = to_dense(PauliString.from_letters("X"))
         z = to_dense(PauliString.from_letters("Z"))
@@ -96,6 +115,45 @@ class TestPropagate:
         cfg = IntegratorConfig(tol=1e-14, max_steps=8)
         with pytest.raises(engine.StepLimitError):
             propagate(lambda t: a + math.sin(40 * t) * b, 5.0, cfg)
+
+
+class TestOpNormAtMost:
+    tol = 1e-6
+
+    @staticmethod
+    def counting_op_norm(monkeypatch):
+        calls = []
+
+        def spy(a):
+            calls.append(a.shape)
+            return op_norm(a)
+
+        monkeypatch.setattr(engine, "op_norm", spy)
+        return calls
+
+    def test_frobenius_within_tol_accepted_without_svd(self, monkeypatch):
+        calls = self.counting_op_norm(monkeypatch)
+        a = np.full((4, 4), 0.2 * self.tol)  # ||a||_F = 0.8 tol
+        assert engine._op_norm_at_most(a, self.tol) == pytest.approx(0.8 * self.tol)
+        assert calls == []
+
+    def test_operator_norm_within_tol_accepted_through_svd(self, monkeypatch):
+        calls = self.counting_op_norm(monkeypatch)
+        a = 0.9 * self.tol * np.eye(64)  # ||a||_F = 7.2 tol, ||a||_2 = 0.9 tol
+        assert engine._op_norm_at_most(a, self.tol) == pytest.approx(0.9 * self.tol)
+        assert calls == [(64, 64)]
+
+    def test_operator_norm_just_above_tol_rejected(self):
+        a = np.zeros((64, 64))
+        a[0, 0] = self.tol * (1 + 1e-9)
+        a[1, 1] = 0.5 * self.tol  # ||a||_F / sqrt(64) < tol < ||a||_F
+        assert engine._op_norm_at_most(a, self.tol) is None
+
+    def test_far_above_tol_rejected_without_svd(self, monkeypatch):
+        calls = self.counting_op_norm(monkeypatch)
+        a = 1.01 * self.tol * np.eye(64)  # ||a||_F > sqrt(64) tol
+        assert engine._op_norm_at_most(a, self.tol) is None
+        assert calls == []
 
 
 class TestGroundState:
@@ -233,6 +291,14 @@ class TestRunProtected:
         # the coupled run is the twin and propagated nothing itself
         assert coupled.diagnostics["steps"] == 0 and coupled.diagnostics["coupled"]
         assert uncoupled.diagnostics["steps"] > 0
+        assert coupled.diagnostics["error_estimate"] == uncoupled.diagnostics["error_estimate"]
+
+    def test_error_estimate_within_budget(self):
+        # T = 2 over 8 slots: each segment's share tol/8 is far above 64 eps
+        tol = 1e-9
+        _, _, _, coupled, uncoupled = quick_protected(j=0.1, tol=tol)
+        for art in (coupled, uncoupled):
+            assert 0.0 < art.diagnostics["error_estimate"] <= tol
 
     @pytest.mark.parametrize("n_b, w, gated_penalty", [(2, 0.0, False), (1, 0.05, True)])
     def test_factorized_twin_matches_joint_propagation(self, n_b, w, gated_penalty):
