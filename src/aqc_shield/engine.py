@@ -1,13 +1,14 @@
 """Time-ordered propagation of the protected model and its reference twins.
 
-The integrator takes Hermitian-exponential steps (a fourth-order,
-two-sample Magnus rule), so every propagator is unitary by construction;
-accuracy is controlled by per-segment step doubling against a local
-tolerance in the operator norm, the norm the trace-distance bounds use
-(||U rho U^dag - V rho V^dag||_1 <= 2 ||U - V||).  Steps never cross a
-pulse edge: the schedule supplies breakpoints, and in the ideal-pulse
-limit w = 0 the pulses are applied as exact unitary kicks between free
-segments rather than as narrow windows.
+The integrator takes Hermitian-exponential steps of a sixth-order,
+three-sample Magnus rule, so every propagator is unitary by construction.
+Each step carries an embedded fourth-order twin built from the same
+samples; the gap between the two exponents drives a per-step size
+controller against a tolerance in the operator norm, the norm the
+trace-distance bounds use (||U rho U^dag - V rho V^dag||_1 <= 2 ||U - V||).
+Steps never cross a pulse edge: the schedule supplies breakpoints, and in
+the ideal-pulse limit w = 0 the pulses are applied as exact unitary kicks
+between free segments rather than as narrow windows.
 
 Three canonical runs share one integrator: the coupled run under the full
 Hamiltonian, the uncoupled twin with the system-bath term deleted but
@@ -43,8 +44,8 @@ from .model import AdiabaticSpec, SystemBathSpec, dense_terms  # noqa: F401
 from .protocols import PulseSchedule, pulse_generator, slot_index
 from .codes import DecouplingGroup
 
-_GAUSS_LO = 0.5 - math.sqrt(3) / 6
-_GAUSS_HI = 0.5 + math.sqrt(3) / 6
+# Gauss-Legendre nodes of one step: 1/2 - r, 1/2 and 1/2 + r.
+_GAUSS_R = math.sqrt(15) / 10
 
 BATH_STATES = ("maximally-mixed", "ground")
 
@@ -62,14 +63,13 @@ class IntegratorConfig:
     """Tolerances and guards for the adaptive propagator.
 
     ``tol`` is the total propagator error budget in the operator norm,
-    distributed over segments proportionally to their length: a segment is
-    accepted once its coarse/fine difference is within its share.
-    ``max_step`` caps the initial step of each segment; refinement proceeds
-    by doubling from there.
+    distributed over steps proportionally to their length: a step of
+    length dt is accepted once its error value is within tol * dt / T.
+    ``max_steps`` caps the trial steps of one propagation, accepted and
+    rejected together.
     """
 
     tol: float = 1e-10
-    max_step: float | None = None
     max_steps: int = 400_000
     hermitian_tol: float = 1e-8
 
@@ -129,104 +129,112 @@ def propagate_with_stats(
 ) -> tuple[np.ndarray, dict]:
     """:func:`propagate` plus integrator statistics.
 
-    ``steps`` counts every Magnus step taken, discarded coarse passes
-    included, and ``segments`` the integrated segments.  ``error_estimate``
-    sums each segment's accepted coarse/fine difference in the operator
-    norm; it is at most ``cfg.tol`` unless a segment's share fell below the
-    64-eps floor.
+    Each trial step forms the sixth-order Magnus exponent Omega6 and its
+    embedded fourth-order twin Omega4 from three Gauss samples.  A trial of
+    length dt is accepted when err >= ||Omega6 - Omega4||_2 is within
+    tol * dt / T (at least 64 eps) and then costs one exponential; the next
+    step size follows err ~ dt^5 against that share.  The step size is
+    carried across segments and clipped to each breakpoint or kick edge.
+
+    ``steps`` counts the exponentials taken, one per accepted step, and
+    ``rejected`` the trials retried at a smaller size, which take no
+    exponential; ``cfg.max_steps`` caps both together.  ``segments``
+    counts the integrated segments.  ``error_estimate`` sums err over the
+    accepted steps, so it is at most ``cfg.tol`` unless a step's share fell
+    below the 64-eps floor.  Since ||e^A - e^B|| <= ||A - B|| for
+    anti-Hermitian A and B, err bounds the error of the embedded
+    fourth-order step; for the sixth-order result actually propagated it
+    is a conservative estimate.
     """
     cfg = cfg or IntegratorConfig()
     if total_time < 0:
         raise ValueError(f"total time must be nonnegative, got {total_time}")
     dim = np.asarray(h_of_t(0.0)).shape[0]
-    stats = {"steps": 0, "segments": 0, "error_estimate": 0.0}
+    stats = {"steps": 0, "rejected": 0, "segments": 0, "error_estimate": 0.0}
     u = np.eye(dim, dtype=complex)
     if total_time == 0:
         return u, stats
-    edges = {0.0, total_time}
+    kicks_at: dict[float, list[np.ndarray]] = {}
+    for kt, mat in kicks:
+        if 0.0 <= kt <= total_time:
+            kicks_at.setdefault(kt, []).append(mat)
+    edges = {0.0, total_time, *kicks_at}
     edges.update(b for b in breakpoints if 0.0 < b < total_time)
-    edges.update(t for t, _ in kicks if 0.0 <= t <= total_time)
     ordered = sorted(edges)
+    floor = 64 * np.finfo(float).eps
 
-    def apply_kicks(t: float):
-        nonlocal u
-        for kt, mat in kicks:
-            if kt == t:
-                u = mat @ u
-
-    apply_kicks(0.0)
-    hint = 1
+    for mat in kicks_at.get(0.0, ()):
+        u = mat @ u
+    dt = ordered[1]
     for a, b in zip(ordered[:-1], ordered[1:]):
-        if b - a > 1e-15 * max(1.0, total_time):
-            seg_tol = max(cfg.tol * (b - a) / total_time, 64 * np.finfo(float).eps)
-            seg_u, hint = _segment_unitary(h_of_t, a, b, seg_tol, cfg, stats, hint)
-            u = seg_u @ u
+        t = a
+        while b - t > 1e-15 * max(1.0, total_time):
+            if stats["steps"] + stats["rejected"] >= cfg.max_steps:
+                raise StepLimitError(
+                    f"step at t={t:g} of segment [{a:g}, {b:g}] needs more than "
+                    f"{cfg.max_steps} trial steps to reach tolerance {cfg.tol:.2e}"
+                )
+            step = min(dt, b - t)
+            k, err, dev = _magnus6_trial(h_of_t, t, step, cfg)
+            allowed = max(cfg.tol * step / total_time, floor)
+            if err <= allowed:
+                u = expm_hermitian(k, 1.0, tol=max(100 * dev, 1e-9)) @ u
+                stats["steps"] += 1
+                stats["error_estimate"] += err
+                t = b if step == b - t else t + step
+            else:
+                stats["rejected"] += 1
+            factor = 0.9 * (allowed / err) ** 0.25 if err > 0 else 5.0
+            dt = step * min(5.0, max(0.2, factor))
+        if t > a:
             stats["segments"] += 1
-        apply_kicks(b)
+        for mat in kicks_at.get(b, ()):
+            u = mat @ u
     return u, stats
 
 
-def _segment_unitary(h_of_t, a, b, tol, cfg, stats, hint=1) -> tuple[np.ndarray, int]:
-    # Start from the previous segment's converged step count (halved) so
-    # runs over many near-identical pulse slots skip the doubling ladder.
-    steps = max(1, hint // 2)
-    if cfg.max_step is not None and cfg.max_step > 0:
-        steps = max(steps, math.ceil((b - a) / cfg.max_step))
-    u_prev = _fixed_steps(h_of_t, a, b, steps, cfg, stats)
-    while True:
-        steps *= 2
-        if stats["steps"] + steps > cfg.max_steps:
-            raise StepLimitError(
-                f"segment [{a:g}, {b:g}] needs more than {cfg.max_steps} total steps "
-                f"to reach tolerance {tol:.2e}"
-            )
-        u = _fixed_steps(h_of_t, a, b, steps, cfg, stats)
-        err = _op_norm_at_most(u - u_prev, tol)
-        if err is not None:
-            stats["error_estimate"] += err
-            return u, steps
-        u_prev = u
+def _magnus6_trial(h_of_t, t0, dt, cfg) -> tuple[np.ndarray, float, float]:
+    """One sixth-order Magnus trial over [t0, t0 + dt] and its error value.
 
-
-def _op_norm_at_most(a: np.ndarray, tol: float) -> float | None:
-    """An upper bound <= tol on ||a||_2 if ||a||_2 <= tol, else None.
-
-    ||a||_F / sqrt(d) <= ||a||_2 <= ||a||_F, so the Frobenius norm decides
-    outside that band and the exact operator norm (an SVD) only inside it.
+    Uses the three-sample Gauss rule of Blanes, Casas & Ros (BIT 40, 434
+    (2000)) with A = -iH.  Returns (k, err, dev): the step is exp(-i k) for
+    the Hermitian k = i Omega6, err >= ||Omega6 - Omega4||_2 for the
+    embedded fourth-order exponent Omega4, and dev is the largest
+    Hermiticity deviation of the samples.
     """
-    frob = float(np.linalg.norm(a))
-    if frob <= tol:
-        return frob
-    if frob > math.sqrt(a.shape[0]) * tol:
-        return None
-    norm = op_norm(a)
-    return norm if norm <= tol else None
-
-
-def _fixed_steps(h_of_t, a, b, steps, cfg, stats) -> np.ndarray:
-    dt = (b - a) / steps
-    u = _magnus4_step(h_of_t, a, dt, cfg)
-    for i in range(1, steps):
-        u = _magnus4_step(h_of_t, a + i * dt, dt, cfg) @ u
-    stats["steps"] += steps
-    return u
-
-
-def _magnus4_step(h_of_t, t0, dt, cfg) -> np.ndarray:
-    """One fourth-order step: two Gauss samples plus their commutator."""
-    h1 = np.asarray(h_of_t(t0 + _GAUSS_LO * dt))
-    h2 = np.asarray(h_of_t(t0 + _GAUSS_HI * dt))
-    dev = max(
-        float(np.max(np.abs(h1 - h1.conj().T))),
-        float(np.max(np.abs(h2 - h2.conj().T))),
-    )
+    samples = [np.asarray(h_of_t(t0 + c * dt)) for c in (0.5 - _GAUSS_R, 0.5, 0.5 + _GAUSS_R)]
+    dev = max(float(np.max(np.abs(h - h.conj().T))) for h in samples)
     if dev > cfg.hermitian_tol:
         raise ValueError(
             f"non-Hermitian sample near t={t0:g} (deviation {dev:.3e})"
         )
-    comm = h2 @ h1 - h1 @ h2
-    exponent = (dt / 2) * (h1 + h2) - 1j * (math.sqrt(3) * dt * dt / 12) * comm
-    return expm_hermitian(exponent, 1.0, tol=max(100 * dev, 1e-9))
+    a1, a2, a3 = (-1j * h for h in samples)
+    alpha1 = dt * a2
+    alpha2 = (math.sqrt(15) * dt / 3) * (a3 - a1)
+    alpha3 = (10 * dt / 3) * (a3 - 2 * a2 + a1)
+    c1 = _commutator(alpha1, alpha2)
+    c2 = _commutator(alpha1, 2 * alpha3 + c1) / -60
+    tail = _commutator(-20 * alpha1 - alpha3 + c1, alpha2 + c2) / 240
+    # Omega6 = alpha1 + alpha3/12 + tail and Omega4 = alpha1 + alpha3/12 - c1/12
+    omega6 = alpha1 + alpha3 / 12 + tail
+    err = _hermitian_norm_bound(1j * (tail + c1 / 12))
+    return 1j * omega6, err, dev
+
+
+def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a, b] for anti-Hermitian a and b, where ba = (ab)^dag: one product."""
+    ab = a @ b
+    return ab - ab.conj().T
+
+
+def _hermitian_norm_bound(x: np.ndarray) -> float:
+    """sqrt(||x^2||_1), an upper bound on ||x||_2 for Hermitian x.
+
+    ||x||_2^2 = ||x^2||_2 <= ||x^2||_1, the largest column sum.  It costs
+    one product, and it is exactly invariant under a lift x -> x (x) I:
+    (x (x) I)^2 = x^2 (x) I has the same column sums.
+    """
+    return math.sqrt(float(np.abs(x @ x).sum(axis=0).max()))
 
 
 def instantaneous_ground_state(

@@ -100,6 +100,14 @@ class TestPropagate:
         u = propagate(lambda t: zero, 1.0, kicks=((0.5, x), (1.0, z)))
         assert np.allclose(u, z @ x)
 
+    def test_coinciding_kicks_applied_in_list_order(self):
+        x = to_dense(PauliString.from_letters("X"))
+        y = to_dense(PauliString.from_letters("Y"))
+        z = to_dense(PauliString.from_letters("Z"))
+        zero = np.zeros((2, 2))
+        u = propagate(lambda t: zero, 1.0, kicks=((0.5, x), (1.0, y), (0.5, z)))
+        assert np.allclose(u, y @ z @ x)
+
     def test_zero_time(self):
         u = propagate(lambda t: np.eye(2, dtype=complex), 0.0)
         assert np.array_equal(u, np.eye(2))
@@ -117,43 +125,66 @@ class TestPropagate:
             propagate(lambda t: a + math.sin(40 * t) * b, 5.0, cfg)
 
 
-class TestOpNormAtMost:
-    tol = 1e-6
-
+class TestMagnus6:
     @staticmethod
-    def counting_op_norm(monkeypatch):
+    def counting_expm(monkeypatch):
         calls = []
 
-        def spy(a):
-            calls.append(a.shape)
-            return op_norm(a)
+        def spy(h, *args, **kwargs):
+            calls.append(h.shape)
+            return expm_hermitian(h, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "op_norm", spy)
+        monkeypatch.setattr(engine, "expm_hermitian", spy)
         return calls
 
-    def test_frobenius_within_tol_accepted_without_svd(self, monkeypatch):
-        calls = self.counting_op_norm(monkeypatch)
-        a = np.full((4, 4), 0.2 * self.tol)  # ||a||_F = 0.8 tol
-        assert engine._op_norm_at_most(a, self.tol) == pytest.approx(0.8 * self.tol)
+    def test_single_step_orders(self, rng):
+        # local error O(dt^7) for the sixth-order step, and the embedded
+        # pair's gap ||Omega6 - Omega4|| = O(dt^5)
+        a = random_hermitian(rng, 8)
+        b = random_hermitian(rng, 8)
+        h = lambda t: a + math.sin(3 * t) * b
+        t0, cfg = 0.3, IntegratorConfig()
+        errors, gaps = [], []
+        for dt in (0.1, 0.05):
+            k, gap, _ = engine._magnus6_trial(h, t0, dt, cfg)
+            ref = propagate(lambda t: h(t0 + t), dt, IntegratorConfig(tol=1e-13))
+            errors.append(op_norm(expm_hermitian(k, 1.0) - ref))
+            gaps.append(gap)
+        assert errors[0] / errors[1] >= 2 ** 6.5
+        assert gaps[0] / gaps[1] >= 2 ** 4.5
+
+    def test_one_exponential_per_accepted_step(self, rng, monkeypatch):
+        a = random_hermitian(rng, 16)
+        b = random_hermitian(rng, 16)
+        calls = self.counting_expm(monkeypatch)
+        _, stats = engine.propagate_with_stats(lambda t: a + math.sin(3 * t) * b, 2.0)
+        assert stats["rejected"] > 0
+        assert len(calls) == stats["steps"]
+
+    def test_rejections_count_towards_step_cap(self, rng, monkeypatch):
+        a = random_hermitian(rng, 2)
+        b = random_hermitian(rng, 2)
+        calls = self.counting_expm(monkeypatch)
+        cfg = IntegratorConfig(tol=1e-14, max_steps=3)
+        with pytest.raises(engine.StepLimitError):
+            propagate(lambda t: a + math.sin(40 * t) * b, 5.0, cfg)
         assert calls == []
 
-    def test_operator_norm_within_tol_accepted_through_svd(self, monkeypatch):
-        calls = self.counting_op_norm(monkeypatch)
-        a = 0.9 * self.tol * np.eye(64)  # ||a||_F = 7.2 tol, ||a||_2 = 0.9 tol
-        assert engine._op_norm_at_most(a, self.tol) == pytest.approx(0.9 * self.tol)
-        assert calls == [(64, 64)]
 
-    def test_operator_norm_just_above_tol_rejected(self):
-        a = np.zeros((64, 64))
-        a[0, 0] = self.tol * (1 + 1e-9)
-        a[1, 1] = 0.5 * self.tol  # ||a||_F / sqrt(64) < tol < ||a||_F
-        assert engine._op_norm_at_most(a, self.tol) is None
+class TestHermitianNormBound:
+    def test_bounds_operator_norm(self, rng):
+        for dim in (2, 8, 32):
+            x = random_hermitian(rng, dim)
+            assert engine._hermitian_norm_bound(x) >= op_norm(x)
 
-    def test_far_above_tol_rejected_without_svd(self, monkeypatch):
-        calls = self.counting_op_norm(monkeypatch)
-        a = 1.01 * self.tol * np.eye(64)  # ||a||_F > sqrt(64) tol
-        assert engine._op_norm_at_most(a, self.tol) is None
-        assert calls == []
+    def test_exact_on_diagonal(self):
+        x = np.diag([0.3, -1.7, 0.9, 1.2]).astype(complex)
+        assert engine._hermitian_norm_bound(x) == pytest.approx(op_norm(x), rel=1e-15)
+
+    def test_invariant_under_lift(self, rng):
+        x = random_hermitian(rng, 16)
+        lifted = np.kron(x, np.eye(4))
+        assert engine._hermitian_norm_bound(lifted) == engine._hermitian_norm_bound(x)
 
 
 class TestGroundState:
