@@ -48,13 +48,12 @@ from .engine import (
     IntegratorConfig,
     RunArtifacts,
     ClosedRun,
-    propagate,
+    propagate_with_stats,
     instantaneous_ground_state,
     run_closed_adiabatic,
     run_protected,
-    interaction_frame,
+    frame_unitary,
     effective_hamiltonian,
-    magnus_first_order,
 )
 from .metrics import (
     ErrorReport,

@@ -19,7 +19,6 @@ from .config import ConfigError, load_config, load_sweep
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override the model seed")
     parser.add_argument("--out-dir", default=None, help="override the output directory")
-    parser.add_argument("--parallel", type=int, default=1, help="worker pool size for sweeps")
     parser.add_argument("--tolerance", type=float, default=None,
                         help="override the integrator tolerance")
 
@@ -37,6 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the [sweep] axes of a configuration")
     p_sweep.add_argument("config")
+    p_sweep.add_argument("--parallel", type=int, default=1, help="worker pool size")
     _add_common(p_sweep)
 
     p_gap = sub.add_parser("gap", help="emit the spectral-gap CSV for a configuration")

@@ -126,15 +126,18 @@ def trivial_group(n: int) -> DecouplingGroup:
 def group_average(group: DecouplingGroup, a: np.ndarray) -> np.ndarray:
     """Conjugation average (1/K) sum_k G_k^dag A G_k.
 
-    This is the first-order effect of a full decoupling cycle; it projects
-    onto the commutant of the group algebra.
+    This is the first-order effect of a full decoupling cycle, the leading
+    Magnus term; it projects onto the commutant of the group algebra.  An
+    operator on system (x) bath, of dimension 2^n times the bath's, is
+    averaged with every element lifted by the identity on the bath.
     """
-    dim = 1 << group.n
-    if a.shape != (dim, dim):
-        raise ValueError(f"operator shape {a.shape} does not match 2^{group.n}")
+    dim_s = 1 << group.n
+    if a.shape[0] % dim_s != 0:
+        raise ValueError(f"dimension {a.shape[0]} is not a multiple of 2^{group.n}")
+    eye_b = np.eye(a.shape[0] // dim_s)
     acc = np.zeros_like(a, dtype=complex)
     for g in group.elements:
-        d = to_dense(g)
+        d = np.kron(to_dense(g), eye_b)
         acc += d.conj().T @ a @ d
     return acc / group.order
 

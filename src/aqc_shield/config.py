@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import io
 from dataclasses import dataclass, field, fields, replace
+from typing import get_args, get_type_hints
 
 from .pauli import PauliString
 
@@ -153,21 +154,12 @@ def _coerce(section: str, key: str, raw: str, target_type):
     return raw if raw else None
 
 
-def _field_types(cls):
+def _field_types(cls) -> dict[str, type]:
+    """Field name -> the type a value is coerced to; ``X | None`` gives X."""
     out = {}
-    for f in fields(cls):
-        t = f.type
-        if isinstance(t, str):
-            if "int" in t:
-                out[f.name] = int
-            elif "float" in t:
-                out[f.name] = float
-            elif "bool" in t:
-                out[f.name] = bool
-            else:
-                out[f.name] = str
-        else:
-            out[f.name] = t
+    for name, hint in get_type_hints(cls).items():
+        scalar = [arg for arg in get_args(hint) if arg is not type(None)]
+        out[name] = scalar[0] if scalar else hint
     return out
 
 

@@ -42,10 +42,11 @@ from .linalg import (
 # (the benchmark tracer does); the engine itself reads the spec's cache.
 from .model import AdiabaticSpec, SystemBathSpec, dense_terms  # noqa: F401
 from .protocols import PulseSchedule, pulse_generator, slot_index
-from .codes import DecouplingGroup
 
 # Gauss-Legendre nodes of one step: 1/2 - r, 1/2 and 1/2 + r.
 _GAUSS_R = math.sqrt(15) / 10
+# Largest entry of H - H^dag a generator sample may carry.
+_HERMITIAN_TOL = 1e-8
 
 BATH_STATES = ("maximally-mixed", "ground")
 
@@ -71,7 +72,6 @@ class IntegratorConfig:
 
     tol: float = 1e-10
     max_steps: int = 400_000
-    hermitian_tol: float = 1e-8
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -102,24 +102,6 @@ class ClosedRun:
     delta_ad: float
 
 
-def propagate(
-    h_of_t: Callable[[float], np.ndarray],
-    total_time: float,
-    cfg: IntegratorConfig | None = None,
-    breakpoints: tuple[float, ...] = (),
-    kicks: tuple[tuple[float, np.ndarray], ...] = (),
-) -> np.ndarray:
-    """Time-ordered propagator of a piecewise-smooth Hermitian generator.
-
-    ``breakpoints`` mark discontinuities of ``h_of_t`` (pulse edges);
-    integration steps are aligned so no step straddles one.  ``kicks`` are
-    (time, unitary) pairs applied instantaneously once evolution reaches
-    that time, in list order for coinciding times.
-    """
-    u, _ = propagate_with_stats(h_of_t, total_time, cfg, breakpoints, kicks)
-    return u
-
-
 def propagate_with_stats(
     h_of_t: Callable[[float], np.ndarray],
     total_time: float,
@@ -127,7 +109,13 @@ def propagate_with_stats(
     breakpoints: tuple[float, ...] = (),
     kicks: tuple[tuple[float, np.ndarray], ...] = (),
 ) -> tuple[np.ndarray, dict]:
-    """:func:`propagate` plus integrator statistics.
+    """Time-ordered propagator of a piecewise-smooth Hermitian generator,
+    and the integrator statistics.
+
+    ``breakpoints`` mark discontinuities of ``h_of_t`` (pulse edges);
+    integration steps are aligned so no step straddles one.  ``kicks`` are
+    (time, unitary) pairs applied instantaneously once evolution reaches
+    that time, in list order for coinciding times.
 
     Each trial step forms the sixth-order Magnus exponent Omega6 and its
     embedded fourth-order twin Omega4 from three Gauss samples.  A trial of
@@ -175,7 +163,7 @@ def propagate_with_stats(
                     f"{cfg.max_steps} trial steps to reach tolerance {cfg.tol:.2e}"
                 )
             step = min(dt, b - t)
-            k, err, dev = _magnus6_trial(h_of_t, t, step, cfg)
+            k, err, dev = _magnus6_trial(h_of_t, t, step)
             allowed = max(cfg.tol * step / total_time, floor)
             if err <= allowed:
                 u = expm_hermitian(k, 1.0, tol=max(100 * dev, 1e-9)) @ u
@@ -193,7 +181,7 @@ def propagate_with_stats(
     return u, stats
 
 
-def _magnus6_trial(h_of_t, t0, dt, cfg) -> tuple[np.ndarray, float, float]:
+def _magnus6_trial(h_of_t, t0, dt) -> tuple[np.ndarray, float, float]:
     """One sixth-order Magnus trial over [t0, t0 + dt] and its error value.
 
     Uses the three-sample Gauss rule of Blanes, Casas & Ros (BIT 40, 434
@@ -204,7 +192,7 @@ def _magnus6_trial(h_of_t, t0, dt, cfg) -> tuple[np.ndarray, float, float]:
     """
     samples = [np.asarray(h_of_t(t0 + c * dt)) for c in (0.5 - _GAUSS_R, 0.5, 0.5 + _GAUSS_R)]
     dev = max(float(np.max(np.abs(h - h.conj().T))) for h in samples)
-    if dev > cfg.hermitian_tol:
+    if dev > _HERMITIAN_TOL:
         raise ValueError(
             f"non-Hermitian sample near t={t0:g} (deviation {dev:.3e})"
         )
@@ -277,7 +265,7 @@ def run_closed_adiabatic(
         return spec.interpolate(min(max(t / total, 0.0), 1.0))
 
     psi0 = instantaneous_ground_state(spec, 0.0)
-    u = propagate(h, total, cfg)
+    u, _ = propagate_with_stats(h, total, cfg)
     psi = u @ psi0
     target = instantaneous_ground_state(spec, 1.0)
     # For unit vectors the trace distance is sqrt(1 - |<target|psi>|^2),
@@ -294,7 +282,6 @@ def protected_hamiltonian(
     penalty: np.ndarray | None = None,
     penalty_during_pulse: bool = True,
     include_coupling: bool = True,
-    include_control: bool = True,
 ) -> Callable[[float], np.ndarray]:
     """H(t) of one protected run variant.
 
@@ -304,7 +291,7 @@ def protected_hamiltonian(
     commuting bath factor exp(-i H_B T) is applied by the caller.
     """
     return _timed_hamiltonian(
-        spec, schedule, penalty, penalty_during_pulse, include_control,
+        spec, schedule, penalty, penalty_during_pulse, True,
         bath if include_coupling else None,
     )
 
@@ -374,26 +361,7 @@ def schedule_kicks(schedule: PulseSchedule, bath_dim: int) -> tuple[tuple[float,
     )
 
 
-def _frame_unitary(
-    spec: AdiabaticSpec,
-    bath: SystemBathSpec,
-    schedule: PulseSchedule,
-    penalty: np.ndarray | None,
-    penalty_during_pulse: bool,
-    cfg: IntegratorConfig,
-    total_time: float,
-) -> np.ndarray:
-    """U_frame = U_sys (x) U_bath generated by the non-control Hamiltonian."""
-    h_sys = _timed_hamiltonian(spec, schedule, penalty, penalty_during_pulse, False)
-    gated = penalty is not None and not penalty_during_pulse and schedule.w > 0
-    bp = schedule_breakpoints(schedule, total_time) if gated else ()
-    u_sys = propagate(h_sys, total_time, cfg, breakpoints=bp)
-    u_b = expm_hermitian(bath.h_b, total_time)
-    return np.kron(u_sys, u_b)
-
-
-def interaction_frame(
-    u_total: np.ndarray,
+def frame_unitary(
     spec: AdiabaticSpec,
     bath: SystemBathSpec,
     schedule: PulseSchedule,
@@ -402,15 +370,19 @@ def interaction_frame(
     cfg: IntegratorConfig | None = None,
     total_time: float | None = None,
 ) -> np.ndarray:
-    """U_tilde = (U_sys (x) U_bath)^dag U_total.
+    """U_frame = U_sys (x) U_bath, generated by the non-control Hamiltonian.
 
-    The frame is generated by the adiabatic (plus penalty) and bath parts;
-    the residual contains the control and whatever the coupling did.
+    The frame is generated by the adiabatic (plus penalty) and bath parts,
+    so the interaction-frame propagator U_frame^dag U_total contains the
+    control and whatever the coupling did.  ``total_time`` defaults to the
+    schedule's.
     """
-    cfg = cfg or IntegratorConfig()
     total = schedule.total_time if total_time is None else total_time
-    u_frame = _frame_unitary(spec, bath, schedule, penalty, penalty_during_pulse, cfg, total)
-    return dagger(u_frame) @ u_total
+    h_sys = _timed_hamiltonian(spec, schedule, penalty, penalty_during_pulse, False)
+    gated = penalty is not None and not penalty_during_pulse and schedule.w > 0
+    bp = schedule_breakpoints(schedule, total) if gated else ()
+    u_sys, _ = propagate_with_stats(h_sys, total, cfg, breakpoints=bp)
+    return np.kron(u_sys, expm_hermitian(bath.h_b, total))
 
 
 def effective_hamiltonian(
@@ -430,21 +402,6 @@ def effective_hamiltonian(
         u = u * (tr.conjugate() / abs(tr))
     h_log = logm_unitary(u)
     return h_log / total_time, float(op_norm(h_log))
-
-
-def magnus_first_order(group: DecouplingGroup, h_sb_interaction: np.ndarray) -> np.ndarray:
-    """Leading Magnus term of an ideal decoupling cycle: the group average
-    of the interaction with group elements lifted by identity on the bath."""
-    dim = h_sb_interaction.shape[0]
-    dim_s = 1 << group.n
-    if dim % dim_s != 0:
-        raise ValueError(f"joint dimension {dim} is not a multiple of 2^{group.n}")
-    eye_b = np.eye(dim // dim_s)
-    acc = np.zeros_like(h_sb_interaction, dtype=complex)
-    for g in group.elements:
-        lift = np.kron(to_dense(g), eye_b)
-        acc += lift.conj().T @ h_sb_interaction @ lift
-    return acc / group.order
 
 
 def _bath_initial_state(bath: SystemBathSpec, kind: str) -> np.ndarray:
@@ -495,7 +452,7 @@ def run_protected(
     rho0 = np.kron(np.outer(psi0, psi0.conj()), rho_b0)
 
     breakpoints = schedule_breakpoints(schedule)
-    u_frame = _frame_unitary(spec, bath, schedule, penalty, penalty_during_pulse, cfg, total)
+    u_frame = frame_unitary(spec, bath, schedule, penalty, penalty_during_pulse, cfg)
 
     def artifacts(u_total: np.ndarray, stats: dict, coupled: bool) -> RunArtifacts:
         rho_final = u_total @ rho0 @ u_total.conj().T

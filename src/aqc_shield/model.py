@@ -255,11 +255,11 @@ class SpectralReport:
     degenerate: bool = False
 
 
-def min_gap(spec: AdiabaticSpec, grid_points: int = 101, refine: bool = True) -> SpectralReport:
+def min_gap(spec: AdiabaticSpec, grid_points: int = 101) -> SpectralReport:
     """Minimal gap E1(s) - E0(s) over s in [0, 1].
 
-    Dense Hermitian solves on a uniform grid, then an optional
-    golden-section refinement of the gap around the coarse minimum.  When
+    Dense Hermitian solves on a uniform grid, then a golden-section
+    refinement of the gap around the coarse minimum.  When
     the ground level is degenerate (gap below 1e-12) somewhere, the report
     carries ``degenerate=True`` and the gap 0 at that point.
     """
@@ -285,12 +285,11 @@ def min_gap(spec: AdiabaticSpec, grid_points: int = 101, refine: bool = True) ->
     s_star = float(s_grid[idx])
     if gap < 1e-12:
         return SpectralReport(s_grid, energies, 0.0, s_star, degenerate=True)
-    if refine:
-        lo = s_grid[max(idx - 1, 0)]
-        hi = s_grid[min(idx + 1, grid_points - 1)]
-        s_star, gap = _golden_section(gap_at, lo, hi)
-        if gap < 1e-12:
-            return SpectralReport(s_grid, energies, 0.0, s_star, degenerate=True)
+    lo = s_grid[max(idx - 1, 0)]
+    hi = s_grid[min(idx + 1, grid_points - 1)]
+    s_star, gap = _golden_section(gap_at, lo, hi)
+    if gap < 1e-12:
+        return SpectralReport(s_grid, energies, 0.0, s_star, degenerate=True)
     return SpectralReport(s_grid, energies, gap, s_star)
 
 

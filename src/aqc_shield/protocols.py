@@ -24,19 +24,13 @@ from .codes import DecouplingGroup
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Timing and per-slot pulses of a periodic decoupling sequence.
-
-    ``jtc`` is J * T_c for the coupling strength the schedule was built
-    for; ``magnus_convergent`` records the sufficient convergence condition
-    J * T_c < pi.
-    """
+    """Timing and per-slot pulses of a periodic decoupling sequence."""
 
     group: DecouplingGroup
     tau: float
     w: float
     cycles: int
     pulses: tuple[PauliString, ...]
-    jtc: float = 0.0
 
     @property
     def order(self) -> int:
@@ -58,24 +52,12 @@ class PulseSchedule:
     def total_time(self) -> float:
         return self.total_pulses * self.slot_time
 
-    @property
-    def magnus_convergent(self) -> bool:
-        return self.jtc < math.pi
-
-    def summary(self) -> str:
-        return (
-            f"K={self.order} tau={self.tau:g} w={self.w:g} L={self.total_pulses} "
-            f"T={self.total_time:g} Tc={self.cycle_time:g} JTc={self.jtc:g} "
-            f"magnus_convergent={self.magnus_convergent}"
-        )
-
 
 def pdd_schedule(
     group: DecouplingGroup,
     tau: float,
     w: float,
     cycles: int,
-    j_coupling: float = 0.0,
 ) -> PulseSchedule:
     """Periodic schedule cycling once through the group every K slots."""
     if tau <= 0:
@@ -107,7 +89,6 @@ def pdd_schedule(
         w=w,
         cycles=cycles,
         pulses=tuple(pulses),
-        jtc=j_coupling * k_order * (tau + w),
     )
 
 

@@ -114,7 +114,7 @@ def build_model(cfg: ExperimentConfig) -> BuiltModel:
         else:
             cycles = max(1, round(p.total_time / (group.order * (tau + w))))
     cycles *= r.r
-    schedule = protocols.pdd_schedule(group, tau, w, cycles, j_coupling=m.j)
+    schedule = protocols.pdd_schedule(group, tau, w, cycles)
 
     spec = model.AdiabaticSpec(
         n=n,
@@ -221,6 +221,7 @@ def _sweep_worker(args: tuple[int, ExperimentConfig]) -> tuple[int, str, tuple |
         result = execute_experiment(cfg)
         return index, "ok", result.report.csv_values()
     except Exception as exc:  # recorded per point; the sweep continues
+        print(f"sweep point {index}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return index, f"error:{type(exc).__name__}", None
 
 
@@ -258,7 +259,7 @@ def write_gap_csv(cfg: ExperimentConfig, out_dir: str | None = None,
                   grid_points: int = 101) -> str:
     """Spectral sweep of the configured model: columns s, E0, E1, ..., gap."""
     built = build_model(cfg)
-    report = model.min_gap(built.spec, grid_points=grid_points, refine=True)
+    report = model.min_gap(built.spec, grid_points=grid_points)
     directory = resolve_out_dir(cfg, out_dir)
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{cfg.output.prefix}_gap.csv")

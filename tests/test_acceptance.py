@@ -1,7 +1,8 @@
 """Acceptance suite: one test per release criterion.
 
 Each test prints a PASS/FAIL line (visible with ``pytest -s``) and asserts
-its criterion at the stated tolerance.  The sweep criteria share one
+its criterion at the stated tolerance.  Criteria 1, 2, 3, 8 and 9 assert
+through the checks registered in ``aqc_shield.verify.ALL_CHECKS``.  The sweep criteria share one
 module-scoped batch of paired runs: n = 4 encoded, one or two bath qubits,
 coupling strengths {0.05, 0.1, 0.2}, and a pulse-interval halving ladder
 at fixed total time.
@@ -24,21 +25,13 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from aqc_shield import cli, runner
-from aqc_shield.codes import (
-    code_from_universal_group,
-    erred_state_energy,
-    penalty_hamiltonian,
-    trivial_group,
-    universal_group,
-)
+from aqc_shield import cli, runner, verify
+from aqc_shield.codes import erred_state_energy, universal_group
 from aqc_shield.config import ExperimentConfig
-from aqc_shield.engine import magnus_first_order, run_closed_adiabatic
-from aqc_shield.linalg import op_norm
-from aqc_shield.metrics import VERDICT_SLACK, dd_error_prediction, phi_budget
-from aqc_shield.model import AdiabaticSpec, Schedule, h_ad, linear_decoherence
-from aqc_shield.pauli import PauliString, apply_pauli, to_dense
-from aqc_shield.protocols import ScalingRule
+from aqc_shield.engine import run_closed_adiabatic
+from aqc_shield.metrics import VERDICT_SLACK
+from aqc_shield.model import AdiabaticSpec, Schedule
+from aqc_shield.pauli import PauliString
 
 SWEEP_TOTAL_TIME = 8.0
 SWEEP_J = (0.05, 0.1, 0.2)
@@ -95,49 +88,34 @@ def test_criterion_1_codeword_golden(capsys):
         "01": ("0101", "1010"),
         "11": ("1001", "0110"),
     }
-    code, _ = code_from_universal_group(4)
-    worst = 0.0
-    for label, vec in zip(code.labels, code.codewords):
-        target = np.zeros(16, dtype=complex)
-        for bits in expected[label]:
-            target[int(bits, 2)] = 1 / math.sqrt(2)
-        worst = max(worst, abs(1.0 - abs(np.vdot(target, vec)) ** 2))
+    # the fidelities to this table are asserted by verify.check_codeword_golden
+    margin = verify.check_codeword_golden()
     assert cli.main(["code", "--n", "4"]) == 0
     out = capsys.readouterr().out
     for label, (a, b) in expected.items():
         first, second = sorted((a, b))
         assert f"{label}: (|{first}⟩+|{second}⟩)/√2" in out
     with capsys.disabled():
-        assert report_line(worst <= 1e-12,
-                           f"criterion 1: codeword table exact (worst fidelity defect {worst:.2e})")
+        assert report_line(margin >= 0, f"criterion 1: codeword table exact "
+                                        f"(worst fidelity defect {1e-12 - margin:.2e})")
 
 
 def test_criterion_2_decoupling_annihilation(capsys):
-    worst = 0.0
-    for n in (2, 4):
-        group = universal_group(n)
-        for seed in range(10):
-            bath = linear_decoherence(n, 1, 1.0, seed=seed)
-            worst = max(worst, op_norm(magnus_first_order(group, bath.h_sb)))
+    # verify.check_universal_annihilation: n = 2, 4 and bath seeds 0-9
+    margin = verify.check_universal_annihilation()
     with capsys.disabled():
-        assert report_line(worst <= 1e-12,
+        assert report_line(margin >= 0,
                            f"criterion 2: group average annihilates the linear coupling "
-                           f"(worst norm {worst:.2e})")
+                           f"(worst norm {1e-12 - margin:.2e})")
 
 
 def test_criterion_3_non_interference(capsys):
-    built = runner.build_model(sweep_config(0.1, 1, 0.25))
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(20):
-        h = h_ad(built.spec, float(rng.uniform(0, 1)))
-        for el in built.group.elements:
-            d = to_dense(el)
-            worst = max(worst, op_norm(h @ d - d @ h))
+    # verify.check_noninterference: 20 sampled s on the encoded preset
+    margin = verify.check_noninterference()
     with capsys.disabled():
-        assert report_line(worst <= 1e-12,
+        assert report_line(margin >= 0,
                            f"criterion 3: encoded Hamiltonian commutes with every pulse "
-                           f"generator (worst commutator {worst:.2e})")
+                           f"generator (worst commutator {1e-12 - margin:.2e})")
 
 
 def test_criterion_4_bound_chain(sweep_results, capsys):
@@ -239,44 +217,32 @@ def test_criterion_7_adiabatic_scaling(capsys):
 
 
 def test_criterion_8_penalty_spectrum(capsys):
+    # verify.check_penalty_spectrum: H_P on the codeword and 12 erred states
+    margin = verify.check_penalty_spectrum()
     ep = 0.7
     group = universal_group(4)
-    code, _ = code_from_universal_group(4)
-    h_p = penalty_hamiltonian(group, ep)
-    psi = code.codewords[0]
     k = group.order
-    worst = float(np.max(np.abs(h_p @ psi - (-(k - 1) * ep) * psi)))
     lines = []
     for site in range(4):
         for letter in "XYZ":
-            err = PauliString.single(4, site, letter)
-            erred = apply_pauli(err, psi)
-            per_ep, a = erred_state_energy(group, err)
-            worst = max(worst, float(np.max(np.abs(h_p @ erred - per_ep * ep * erred))))
+            per_ep, a = erred_state_energy(group, PauliString.single(4, site, letter))
             lines.append(
                 f"  error {letter}{site + 1}: a={a}, eigenvalue {per_ep * ep:+.3f}, "
                 f"gap 2aE_P={2 * a * ep:.3f} (printed closed form a(K-1)E_P="
                 f"{a * (k - 1) * ep:.3f}, not asserted)"
             )
     with capsys.disabled():
-        ok = report_line(worst <= 1e-12,
+        ok = report_line(margin >= 0,
                          f"criterion 8: penalty spectrum oracle over 12 single-qubit errors "
-                         f"(worst residual {worst:.2e})")
+                         f"(worst residual {1e-12 - margin:.2e})")
         for line in lines[:3] + ["  ..."]:
             print(line)
         assert ok
 
 
 def test_criterion_9_budget_evaluators_and_alpha(sweep_results, capsys):
-    budget = phi_budget(j_coupling=0.1, total_time=10.0, w=0.0, tau=0.01,
-                        k_pulses=4, l_pulses=400, beta=1.0)
-    term3 = math.expm1(0.08) / 0.08 - 1.0
-    eval_ok = (abs(budget.term1 - 0.01) <= 1e-12 and budget.term2 == 0.0
-               and abs(budget.term3 - term3) <= 1e-12)
-    rule = ScalingRule(zeta=1.0, epsilon1=1.5, epsilon2=0.5)
-    t1, t2, t3, total = dd_error_prediction(rule, 4)
-    eval_ok &= (abs(t1 - 0.125) <= 1e-12 and abs(t2 - 0.5) <= 1e-12
-                and abs(t3 - 0.5) <= 1e-12 and abs(total - 1.125) <= 1e-12)
+    # frozen examples of phi_budget and dd_error_prediction
+    eval_ok = verify.check_budget_values() >= 0 and verify.check_prediction_values() >= 0
 
     # alpha calibration: smallest constant making the first budget term
     # cover the measured phase left over after the other two terms

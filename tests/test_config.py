@@ -1,5 +1,6 @@
 import pytest
 
+from aqc_shield import config
 from aqc_shield.config import (
     ConfigError,
     ExperimentConfig,
@@ -72,6 +73,23 @@ class TestParsing:
     def test_comments_allowed(self):
         cfg = loads_config("[protocol]\ntau = 0.5  # pulse interval\ncycles = 2\n")
         assert cfg.protocol.tau == 0.5
+
+
+    def test_field_types_resolved(self):
+        # the coercion type of every key, with "X | None" resolved to X
+        types = {name: config._field_types(cls) for name, cls in config._SECTIONS.items()}
+        assert types == {
+            "model": {"n": int, "n_b": int, "code": bool, "preset": str, "h0": str,
+                      "h1": str, "schedule": str, "delta0": float, "j": float,
+                      "beta_b": float, "e_p": float, "penalty_during_pulse": bool,
+                      "seed": int},
+            "protocol": {"group": str, "tau": float, "w": float, "cycles": int,
+                         "total_time": float, "zeta": float, "z": float,
+                         "epsilon1": float, "epsilon2": float, "c_tau": float,
+                         "c_w": float},
+            "run": {"r": int, "tolerance": float, "bath_state": str, "alpha": float},
+            "output": {"out_dir": str, "prefix": str},
+        }
 
 
 class TestValidation:

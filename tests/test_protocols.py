@@ -52,16 +52,6 @@ class TestPddSchedule:
         assert schedule.total_pulses == 3
         assert all(p.is_identity() for p in schedule.pulses)
 
-    def test_magnus_flag(self):
-        g = universal_group(2)
-        assert pdd_schedule(g, 0.1, 0.0, 1, j_coupling=0.5).magnus_convergent
-        assert not pdd_schedule(g, 2.0, 0.0, 1, j_coupling=4.0).magnus_convergent
-
-    def test_summary_fields(self):
-        text = pdd_schedule(universal_group(2), 0.1, 0.0, 2, j_coupling=0.3).summary()
-        for token in ("K=4", "L=8", "JTc=", "magnus_convergent="):
-            assert token in text
-
 
 class TestPulseGenerator:
     def test_identity_pulse(self):

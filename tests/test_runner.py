@@ -163,12 +163,14 @@ class TestSweep:
         parallel = (tmp_path / "parallel" / "run_sweep.csv").read_bytes()
         assert serial == parallel
 
-    def test_point_failure_recorded(self, tmp_path):
+    def test_point_failure_recorded(self, tmp_path, capsys):
         base = quick_cfg(tmp_path)
         spec = SweepSpec(base=base, axes=[("model.beta_b", [1.0, -1.0])])
         rows = runner.run_sweep(spec)
         assert rows[0][1] == "ok"
-        assert rows[1][1].startswith("error:")
+        assert rows[1] == (1, "error:ValueError", None)
+        err = capsys.readouterr().err
+        assert "sweep point 1: ValueError: bath norm must be nonnegative, got -1.0" in err
         text = (tmp_path / "run_sweep.csv").read_text().strip().split("\n")
         assert len(text) == 3
 
@@ -235,6 +237,28 @@ class TestCli:
 
 
 class TestVerifySuite:
+    @pytest.mark.parametrize("name, check", verify.ALL_CHECKS,
+                             ids=[name for name, _ in verify.ALL_CHECKS])
+    def test_registered_check_passes(self, name, check):
+        assert check() >= 0.0, name
+
+    def test_small_experiments_run_once_per_call(self, monkeypatch):
+        # the two runner checks share one run of each experiment per call,
+        # and a second call runs them afresh
+        runs = []
+        original = runner.execute_experiment
+
+        def counted(cfg):
+            runs.append(cfg.model.j)
+            return original(cfg)
+
+        monkeypatch.setattr(runner, "execute_experiment", counted)
+        monkeypatch.setattr(verify, "ALL_CHECKS",
+                            [c for c in verify.ALL_CHECKS if c[0].startswith("runner.")])
+        for _ in range(2):
+            assert verify.verify(print_fn=lambda line: None) == 0
+        assert runs == [0.05, 0.2, 0.05, 0.2]
+
     def test_mutation_is_caught(self, monkeypatch):
         # a sign error injected into the group average must trip the
         # projector-style checks
