@@ -15,12 +15,12 @@ import io
 from dataclasses import dataclass, field, fields, replace
 from typing import get_args, get_type_hints
 
+from .engine import BATH_STATES
+from .model import SCHEDULE_KINDS
 from .pauli import PauliString
 
 PRESETS = ("universal-2local",)
 GROUP_PRESETS = ("universal", "global-x", "none")
-SCHEDULE_CHOICES = ("linear", "smooth-endpoint", "polynomial-smooth")
-BATH_STATE_CHOICES = ("maximally-mixed", "ground")
 
 _EXPLICIT_KEYS = ("tau", "w", "cycles", "total_time")
 _SCALING_KEYS = ("zeta", "z", "epsilon1", "epsilon2", "c_tau", "c_w")
@@ -254,8 +254,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("model.n_b must be at least 1")
     if m.n + m.n_b > 12:
         raise ConfigError("model.n + model.n_b exceeds the dense-simulation cap of 12")
-    if m.schedule not in SCHEDULE_CHOICES:
-        raise ConfigError(f"model.schedule must be one of {SCHEDULE_CHOICES}")
+    if m.schedule not in SCHEDULE_KINDS:
+        raise ConfigError(f"model.schedule must be one of {SCHEDULE_KINDS}")
     if m.preset is not None and m.preset not in PRESETS:
         raise ConfigError(f"model.preset must be one of {PRESETS}")
     if m.preset is None and (m.h0 is None or m.h1 is None):
@@ -313,8 +313,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("run.r must be an integer >= 1")
     if r.tolerance <= 0:
         raise ConfigError("run.tolerance must be positive")
-    if r.bath_state not in BATH_STATE_CHOICES:
-        raise ConfigError(f"run.bath_state must be one of {BATH_STATE_CHOICES}")
+    if r.bath_state not in BATH_STATES:
+        raise ConfigError(f"run.bath_state must be one of {BATH_STATES}")
     if m.h0 is not None:
         k = m.n - 2 if m.code else m.n
         parse_terms(m.h0, k, "model.h0")

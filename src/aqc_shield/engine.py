@@ -233,40 +233,38 @@ def instantaneous_ground_state(
     The phase is fixed by making the largest-magnitude amplitude real and
     positive, so repeated calls are deterministic.
     """
-    h = spec.interpolate(s)
-    basis = spec.code_basis
-    if basis is not None:
-        h = basis.conj().T @ h @ basis
-    evals, vecs = np.linalg.eigh(h)
+    evals, vecs = np.linalg.eigh(spec.interpolate(s, *spec.code_pair))
     if len(evals) > 1 and evals[1] - evals[0] < degeneracy_tol:
         raise DegenerateGroundStateError(
             f"ground level degenerate at s={s} (splitting {evals[1] - evals[0]:.2e})"
         )
+    basis = spec.code_basis
     psi = vecs[:, 0] if basis is None else basis @ vecs[:, 0]
     idx = int(np.argmax(np.abs(psi)))
     psi = psi * np.exp(-1j * np.angle(psi[idx]))
     return psi
 
 
-def run_closed_adiabatic(
-    spec: AdiabaticSpec, r: float = 1.0, cfg: IntegratorConfig | None = None
-) -> ClosedRun:
-    """Closed-system interpolation over total time r * T.
+def run_closed_adiabatic(spec: AdiabaticSpec, cfg: IntegratorConfig | None = None) -> ClosedRun:
+    """Closed-system interpolation over the spec's total time T.
 
     Starts in the (code-space) ground state of H(0); the returned distance
     is the trace distance between the final state and the instantaneous
     ground state at s = 1, which for pure states is sqrt(1 - overlap^2).
+    An encoded H(s) commutes with the stabilizers, so the run is propagated
+    on the code space (``spec.code_pair``) and its final state lifted once
+    by the code basis V.
     """
-    if r < 1:
-        raise ValueError(f"time dilation must be >= 1, got {r}")
-    total = r * spec.total_time
+    total = spec.total_time
+    h0, h1 = spec.code_pair
 
     def h(t: float) -> np.ndarray:
-        return spec.interpolate(min(max(t / total, 0.0), 1.0))
+        return spec.interpolate(min(max(t / total, 0.0), 1.0), h0, h1)
 
+    v = spec.code_basis
     psi0 = instantaneous_ground_state(spec, 0.0)
     u, _ = propagate_with_stats(h, total, cfg)
-    psi = u @ psi0
+    psi = u @ psi0 if v is None else v @ (u @ (v.conj().T @ psi0))
     target = instantaneous_ground_state(spec, 1.0)
     # For unit vectors the trace distance is sqrt(1 - |<target|psi>|^2),
     # i.e. the norm of the component of psi orthogonal to the target;
@@ -279,8 +277,6 @@ def protected_hamiltonian(
     spec: AdiabaticSpec,
     bath: SystemBathSpec,
     schedule: PulseSchedule,
-    penalty: np.ndarray | None = None,
-    penalty_during_pulse: bool = True,
     include_coupling: bool = True,
 ) -> Callable[[float], np.ndarray]:
     """H(t) of one protected run variant.
@@ -290,21 +286,16 @@ def protected_hamiltonian(
     uncoupled twin) it is H_sys(t) alone on the 2^n system space; the
     commuting bath factor exp(-i H_B T) is applied by the caller.
     """
-    return _timed_hamiltonian(
-        spec, schedule, penalty, penalty_during_pulse, True,
-        bath if include_coupling else None,
-    )
+    return _timed_hamiltonian(spec, schedule, True, bath if include_coupling else None)
 
 
 def _timed_hamiltonian(
     spec: AdiabaticSpec,
     schedule: PulseSchedule,
-    penalty: np.ndarray | None,
-    penalty_during_pulse: bool,
     include_control: bool,
     bath: SystemBathSpec | None = None,
 ) -> Callable[[float], np.ndarray]:
-    """H_sys(t) on 2^n: the interpolation, the (gated) penalty and, with
+    """H_sys(t) on 2^n: the interpolation, the spec's (gated) penalty and, with
     ``include_control``, the pulse generators.  With ``bath`` every term is
     lifted once and the bath and coupling terms are added: the joint H(t)."""
     total = schedule.total_time
@@ -314,7 +305,7 @@ def _timed_hamiltonian(
         lift = lambda a: np.kron(a, np.eye(bath.bath_dim))  # noqa: E731
         constants = (np.kron(np.eye(1 << spec.n), bath.h_b), bath.h_sb)
     h0, h1 = lift(spec.H0), lift(spec.H1)
-    pen = None if penalty is None else lift(penalty)
+    pen = None if spec.penalty is None else lift(spec.penalty)
     gens = None
     if include_control and schedule.w > 0:
         gens = [lift(pulse_generator(p, schedule.w)) for p in schedule.pulses]
@@ -322,7 +313,7 @@ def _timed_hamiltonian(
     def h(t: float) -> np.ndarray:
         out = spec.interpolate(min(max(t / total, 0.0), 1.0), h0, h1)
         slot, in_window = slot_index(schedule, min(t, total))
-        if pen is not None and (penalty_during_pulse or not in_window):
+        if pen is not None and (spec.penalty_during_pulse or not in_window):
             out = out + pen
         if gens is not None and in_window:
             out = out + gens[slot % schedule.order]
@@ -365,8 +356,6 @@ def frame_unitary(
     spec: AdiabaticSpec,
     bath: SystemBathSpec,
     schedule: PulseSchedule,
-    penalty: np.ndarray | None = None,
-    penalty_during_pulse: bool = True,
     cfg: IntegratorConfig | None = None,
     total_time: float | None = None,
 ) -> np.ndarray:
@@ -378,8 +367,8 @@ def frame_unitary(
     schedule's.
     """
     total = schedule.total_time if total_time is None else total_time
-    h_sys = _timed_hamiltonian(spec, schedule, penalty, penalty_during_pulse, False)
-    gated = penalty is not None and not penalty_during_pulse and schedule.w > 0
+    h_sys = _timed_hamiltonian(spec, schedule, False)
+    gated = spec.penalty is not None and not spec.penalty_during_pulse and schedule.w > 0
     bp = schedule_breakpoints(schedule, total) if gated else ()
     u_sys, _ = propagate_with_stats(h_sys, total, cfg, breakpoints=bp)
     return np.kron(u_sys, expm_hermitian(bath.h_b, total))
@@ -418,8 +407,6 @@ def run_protected(
     spec: AdiabaticSpec,
     bath: SystemBathSpec,
     schedule: PulseSchedule,
-    penalty: np.ndarray | None = None,
-    penalty_during_pulse: bool = True,
     bath_state: str = "maximally-mixed",
     cfg: IntegratorConfig | None = None,
 ) -> tuple[RunArtifacts, RunArtifacts]:
@@ -440,8 +427,6 @@ def run_protected(
         raise ValueError(
             f"model total time {spec.total_time} does not match schedule {total}"
         )
-    if penalty is not None and penalty.shape != (1 << n, 1 << n):
-        raise ValueError("penalty operator dimension mismatch")
 
     psi0 = instantaneous_ground_state(spec, 0.0)
     if spec.code_basis is not None:
@@ -452,7 +437,7 @@ def run_protected(
     rho0 = np.kron(np.outer(psi0, psi0.conj()), rho_b0)
 
     breakpoints = schedule_breakpoints(schedule)
-    u_frame = frame_unitary(spec, bath, schedule, penalty, penalty_during_pulse, cfg)
+    u_frame = frame_unitary(spec, bath, schedule, cfg)
 
     def artifacts(u_total: np.ndarray, stats: dict, coupled: bool) -> RunArtifacts:
         rho_final = u_total @ rho0 @ u_total.conj().T
@@ -464,18 +449,14 @@ def run_protected(
 
     # The twin's generator is H_sys(t) (x) I + I (x) H_B with commuting
     # parts, so its propagator is U_sys (x) exp(-i H_B T): propagate at 2^n.
-    h_sys = protected_hamiltonian(
-        spec, bath, schedule, penalty, penalty_during_pulse, include_coupling=False,
-    )
+    h_sys = protected_hamiltonian(spec, bath, schedule, include_coupling=False)
     u_sys, stats = propagate_with_stats(h_sys, total, cfg, breakpoints, schedule_kicks(schedule, 1))
     twin = artifacts(np.kron(u_sys, expm_hermitian(bath.h_b, total)), stats, coupled=False)
     if not np.any(bath.h_sb):
         # Zero coupling: the coupled run is the twin; it propagated nothing.
         coupled_stats = dict(stats, steps=0, segments=0, coupled=True)
         return replace(twin, diagnostics=coupled_stats), twin
-    h = protected_hamiltonian(
-        spec, bath, schedule, penalty, penalty_during_pulse, include_coupling=True,
-    )
+    h = protected_hamiltonian(spec, bath, schedule, include_coupling=True)
     kicks = schedule_kicks(schedule, bath.bath_dim)
     u_total, stats = propagate_with_stats(h, total, cfg, breakpoints, kicks)
     return artifacts(u_total, stats, coupled=True), twin

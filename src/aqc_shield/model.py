@@ -10,7 +10,7 @@ delta0 = 1 unless stated otherwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -65,8 +65,9 @@ class AdiabaticSpec:
     """Interpolating system Hamiltonian plus run bookkeeping.
 
     ``code_basis``, when given, is a 2^n x 2^k isometry whose columns span
-    the code space; ground states and spectra are then taken inside that
-    subspace (encoded operation).
+    the code space; ground states, spectra and the closed run are then
+    taken inside that subspace (encoded operation).  ``penalty`` is the dense
+    E_P H_P of the protected runs, off in pulse windows unless ``penalty_during_pulse``.
     """
 
     n: int
@@ -74,8 +75,9 @@ class AdiabaticSpec:
     h1_terms: TermList
     schedule: Schedule = Schedule()
     total_time: float = 1.0
-    delta0: float = 1.0
     code_basis: np.ndarray | None = None
+    penalty: np.ndarray | None = None
+    penalty_during_pulse: bool = True
 
     def __post_init__(self):
         for coeff, term in self.h0_terms + self.h1_terms:
@@ -83,6 +85,8 @@ class AdiabaticSpec:
                 raise ValueError(f"term {term} does not act on {self.n} qubits")
             if abs(complex(coeff).imag) > 0:
                 raise ValueError(f"coefficient {coeff} must be real")
+        if self.penalty is not None and self.penalty.shape != (1 << self.n, 1 << self.n):
+            raise ValueError("penalty operator dimension mismatch")
 
     @cached_property
     def H0(self) -> np.ndarray:
@@ -92,6 +96,15 @@ class AdiabaticSpec:
     @cached_property
     def H1(self) -> np.ndarray:
         return _read_only(dense_terms(self.h1_terms, self.n))
+
+    @cached_property
+    def code_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """(V^dag H0 V, V^dag H1 V) on the code space spanned by the columns
+        of V = ``code_basis``, or (H0, H1) when the spec is unencoded."""
+        v = self.code_basis
+        if v is None:
+            return self.H0, self.H1
+        return tuple(_read_only(v.conj().T @ h @ v) for h in (self.H0, self.H1))
 
     def interpolate(self, s: float, h0=None, h1=None) -> np.ndarray:
         """(1 - f(s)) H0 + f(s) H1, with ``h0``/``h1`` standing in for the
@@ -265,14 +278,10 @@ def min_gap(spec: AdiabaticSpec, grid_points: int = 101) -> SpectralReport:
     """
     if grid_points < 2:
         raise ValueError("need at least two grid points")
-    basis = spec.code_basis
     s_grid = np.linspace(0.0, 1.0, grid_points)
 
     def levels(s: float) -> np.ndarray:
-        h = h_ad(spec, s)
-        if basis is not None:
-            h = basis.conj().T @ h @ basis
-        return np.linalg.eigvalsh(h)
+        return np.linalg.eigvalsh(spec.interpolate(s, *spec.code_pair))
 
     def gap_at(s: float) -> float:
         e = levels(s)
@@ -312,8 +321,7 @@ def _golden_section(f: Callable[[float], float], a: float, b: float, xtol: float
     return float(x), float(f(x))
 
 
-def beta_system_bath(spec: AdiabaticSpec, h_b: np.ndarray, penalty: np.ndarray | None = None,
-                     samples: int = 21) -> float:
+def beta_system_bath(spec: AdiabaticSpec, h_b: np.ndarray, samples: int = 21) -> float:
     """Exact norm of H(s) (+ penalty) (x) I + I (x) H_B, maximized over sampled s.
 
     Spectra of the two commuting summands add, so the norm is the largest
@@ -324,8 +332,8 @@ def beta_system_bath(spec: AdiabaticSpec, h_b: np.ndarray, penalty: np.ndarray |
     best = 0.0
     for s in np.linspace(0.0, 1.0, samples):
         h = h_ad(spec, s)
-        if penalty is not None:
-            h = h + penalty
+        if spec.penalty is not None:
+            h = h + spec.penalty
         require_hermitian(h, 1e-9, "system Hamiltonian")
         lam = np.linalg.eigvalsh(h)
         best = max(best, abs(float(lam[-1]) + mu_hi), abs(float(lam[0]) + mu_lo))

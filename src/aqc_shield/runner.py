@@ -8,7 +8,6 @@ passing, 2 when any bound verdict fails, 1 on execution errors.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -33,8 +32,6 @@ class BuiltModel:
     spec: model.AdiabaticSpec
     bath: model.SystemBathSpec
     schedule: protocols.PulseSchedule
-    penalty: np.ndarray | None
-    group: codes.DecouplingGroup
     scaling_rule: protocols.ScalingRule | None
 
 
@@ -122,17 +119,12 @@ def build_model(cfg: ExperimentConfig) -> BuiltModel:
         h1_terms=h1,
         schedule=model.Schedule(m.schedule),
         total_time=schedule.total_time,
-        delta0=m.delta0,
         code_basis=code_basis,
+        penalty=codes.penalty_hamiltonian(group, m.e_p) if m.e_p > 0 else None,
+        penalty_during_pulse=m.penalty_during_pulse,
     )
     bath = model.linear_decoherence(n, m.n_b, m.j, m.seed, beta_b=m.beta_b)
-    penalty = None
-    if m.e_p > 0:
-        penalty = codes.penalty_hamiltonian(group, m.e_p)
-    return BuiltModel(
-        spec=spec, bath=bath, schedule=schedule, penalty=penalty,
-        group=group, scaling_rule=scaling_rule,
-    )
+    return BuiltModel(spec=spec, bath=bath, schedule=schedule, scaling_rule=scaling_rule)
 
 
 def execute_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -141,18 +133,12 @@ def execute_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     m, r = cfg.model, cfg.run
     icfg = engine.IntegratorConfig(tol=r.tolerance)
     coupled, uncoupled = engine.run_protected(
-        built.spec,
-        built.bath,
-        built.schedule,
-        penalty=built.penalty,
-        penalty_during_pulse=m.penalty_during_pulse,
-        bath_state=r.bath_state,
-        cfg=icfg,
+        built.spec, built.bath, built.schedule, bath_state=r.bath_state, cfg=icfg,
     )
-    closed = engine.run_closed_adiabatic(built.spec, r=1.0, cfg=icfg)
+    closed = engine.run_closed_adiabatic(built.spec, cfg=icfg)
     target = engine.instantaneous_ground_state(built.spec, 1.0)
     ideal_system = np.outer(target, target.conj())
-    beta = model.beta_system_bath(built.spec, built.bath.h_b, built.penalty)
+    beta = model.beta_system_bath(built.spec, built.bath.h_b)
     budget = metrics.phi_budget(
         j_coupling=m.j,
         total_time=built.schedule.total_time,

@@ -127,7 +127,7 @@ def check_noninterference() -> float:
     worst = 0.0
     for _ in range(20):
         h = model.h_ad(built.spec, float(rng.uniform(0, 1)))
-        for el in built.group.elements:
+        for el in built.schedule.group.elements:
             d = pauli.to_dense(el)
             worst = max(worst, linalg.op_norm(h @ d - d @ h))
     return 1e-12 - worst
@@ -392,6 +392,9 @@ def check_phi_distance_outer(reports: dict | None = None) -> float:
     return float(worst)
 
 
+# The checks that take the ``reports`` dict of the small experiments.
+SHARES_REPORTS = (check_bound_chain_small, check_phi_distance_outer)
+
 ALL_CHECKS = [
     ("pauli.dense_mul_consistency", check_pauli_dense_consistency),
     ("pauli.commute_dense_agreement", check_pauli_commute_agreement),
@@ -430,8 +433,7 @@ def verify(print_fn=print) -> int:
     reports: dict = {}  # per call, so a fault injected between calls reaches both
     for name, check in ALL_CHECKS:
         try:
-            shares = check in (check_bound_chain_small, check_phi_distance_outer)
-            margin = float(check(reports) if shares else check())
+            margin = float(check(reports) if check in SHARES_REPORTS else check())
             result = CheckResult(name, margin >= 0.0, margin)
         except Exception as exc:
             result = CheckResult(name, False, float("-inf"), f"{type(exc).__name__}: {exc}")

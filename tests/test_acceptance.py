@@ -17,6 +17,7 @@ more than (e^Phi - 1)/2 for Phi <= 0.9; see the two-level test in
 test_metrics), and the one-bath-qubit runs exceed it by ~14%.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -206,7 +207,8 @@ def test_criterion_7_adiabatic_scaling(capsys):
     spec = AdiabaticSpec(n=2, h0_terms=h0, h1_terms=h1,
                          schedule=Schedule("smooth-endpoint"), total_time=8.0)
     dilations = (1, 2, 4, 8)
-    deltas = [run_closed_adiabatic(spec, r=float(r)).delta_ad for r in dilations]
+    dilated = [dataclasses.replace(spec, total_time=r * spec.total_time) for r in dilations]
+    deltas = [run_closed_adiabatic(s).delta_ad for s in dilated]
     slope = float(np.polyfit(np.log(dilations), np.log(deltas), 1)[0])
     below_quadratic = all(d < r ** -2.0 for d, r in zip(deltas, dilations))
     ok = slope <= -1.5 and below_quadratic

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from aqc_shield import codes, verify
+from aqc_shield import verify
 from aqc_shield.codes import (
     DecouplingGroup,
     code_from_universal_group,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from aqc_shield.codes import (
     universal_group,
 )
 from aqc_shield.engine import (
-    ClosedRun,
     DegenerateGroundStateError,
     IntegratorConfig,
     effective_hamiltonian,
@@ -26,7 +26,7 @@ from aqc_shield.engine import (
     schedule_breakpoints,
     schedule_kicks,
 )
-from aqc_shield.linalg import dagger, expm_hermitian, op_norm, partial_trace
+from aqc_shield.linalg import dagger, expm_hermitian, op_norm
 from aqc_shield.metrics import trace_distance
 from aqc_shield.model import AdiabaticSpec, Schedule, h_ad, linear_decoherence
 from aqc_shield.pauli import PauliString, to_dense
@@ -237,8 +237,8 @@ class TestClosedAdiabatic:
 
     def test_dilation_improves(self):
         spec = one_qubit_spec(total_time=6.0)
-        slow = run_closed_adiabatic(spec, r=2.0)
-        fast = run_closed_adiabatic(spec, r=1.0)
+        slow = run_closed_adiabatic(dataclasses.replace(spec, total_time=2.0 * 6.0))
+        fast = run_closed_adiabatic(spec)
         assert slow.delta_ad < fast.delta_ad
 
     def test_constant_hamiltonian_stays_put(self):
@@ -250,10 +250,6 @@ class TestClosedAdiabatic:
         )
         run = run_closed_adiabatic(spec)
         assert run.delta_ad <= 1e-9
-
-    def test_dilation_validated(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            run_closed_adiabatic(one_qubit_spec(), r=0.5)
 
 
 def transverse_field_spec(total_time):
@@ -272,23 +268,16 @@ def quick_protected(j=0.1, total_time=2.0, tau=0.25, w=0.0, tol=1e-9, group=None
     grp = group or universal_group(4)
     cycles = max(1, round(total_time / (grp.order * (tau + w))))
     schedule = pdd_schedule(grp, tau, w, cycles)
-    spec = AdiabaticSpec(
-        n=spec.n, h0_terms=spec.h0_terms, h1_terms=spec.h1_terms,
-        schedule=spec.schedule, total_time=schedule.total_time,
-        code_basis=spec.code_basis,
-    )
+    spec = dataclasses.replace(spec, total_time=schedule.total_time, penalty=penalty,
+                               penalty_during_pulse=penalty_during_pulse)
     bath = linear_decoherence(4, n_b, j, seed=seed)
-    coupled, uncoupled = run_protected(
-        spec, bath, schedule, penalty=penalty,
-        penalty_during_pulse=penalty_during_pulse,
-        cfg=IntegratorConfig(tol=tol),
-    )
+    coupled, uncoupled = run_protected(spec, bath, schedule, cfg=IntegratorConfig(tol=tol))
     return spec, bath, schedule, coupled, uncoupled
 
 
-def joint_twin_propagator(spec, bath, schedule, penalty, penalty_during_pulse, tol):
+def joint_twin_propagator(spec, bath, schedule, tol):
     """The uncoupled twin propagated on the joint space: H_sys(t) (x) I +
-    I (x) H_B with joint kicks, H_sys built here from h_ad, the gated
+    I (x) H_B with joint kicks, H_sys built here from h_ad, the spec's gated
     penalty and the pulse generators."""
     total = schedule.total_time
     gens = [pulse_generator(p, schedule.w) for p in schedule.pulses] if schedule.w > 0 else None
@@ -298,8 +287,8 @@ def joint_twin_propagator(spec, bath, schedule, penalty, penalty_during_pulse, t
     def h(t):
         h_sys = h_ad(spec, min(max(t / total, 0.0), 1.0))
         slot, in_window = slot_index(schedule, min(t, total))
-        if penalty is not None and (penalty_during_pulse or not in_window):
-            h_sys = h_sys + penalty
+        if spec.penalty is not None and (spec.penalty_during_pulse or not in_window):
+            h_sys = h_sys + spec.penalty
         if gens is not None and in_window:
             h_sys = h_sys + gens[slot % schedule.order]
         return np.kron(h_sys, eye_b) + h_b
@@ -344,7 +333,7 @@ class TestRunProtected:
             penalty=pen, penalty_during_pulse=not gated_penalty,
             spec_fn=transverse_field_spec,
         )
-        reference = joint_twin_propagator(spec, bath, schedule, pen, not gated_penalty, tol)
+        reference = joint_twin_propagator(spec, bath, schedule, tol)
         assert uncoupled.u_total.shape == reference.shape == (16 << n_b, 16 << n_b)
         assert op_norm(uncoupled.u_total - reference) <= 10 * tol
 
@@ -375,7 +364,6 @@ class TestRunProtected:
         _, _, _, dd, _ = quick_protected(j=0.1, total_time=4.0, tau=0.25)
         _, _, _, free, _ = quick_protected(j=0.1, total_time=4.0, tau=0.25,
                                            group=trivial_group(4))
-        d = trace_distance  # noqa: F841  (imported for parity with metrics use)
         assert dd.phi < free.phi
 
     def test_penalty_on_code_space_is_global_phase(self):

@@ -8,7 +8,6 @@ from conftest import random_density
 from aqc_shield.linalg import partial_trace
 from aqc_shield.metrics import (
     CSV_COLUMNS,
-    PhiBudget,
     RunMeta,
     csv_header,
     dd_error_prediction,

@@ -117,6 +117,12 @@ def per_call_interpolate(spec, s, h0=None, h1=None):
     return (1 - f) * h0 + f * h1
 
 
+def per_call_code_pair(spec):
+    """The projected pair V^dag H V as built before the cache, per access."""
+    v = spec.code_basis
+    return tuple(v.conj().T @ dense_terms(t, spec.n) @ v for t in (spec.h0_terms, spec.h1_terms))
+
+
 class TestCompiledModel:
     S_POINTS = (0.0, 0.17, 0.5, 0.83, 1.0)
 
@@ -130,6 +136,7 @@ class TestCompiledModel:
         spec = encoded_preset_spec()
         with monkeypatch.context() as patched:
             patched.setattr(AdiabaticSpec, "interpolate", per_call_interpolate)
+            patched.setattr(AdiabaticSpec, "code_pair", property(per_call_code_pair))
             ref_gap = min_gap(spec)
             ref_states = [instantaneous_ground_state(spec, s) for s in self.S_POINTS]
         gap = min_gap(spec)
@@ -142,12 +149,24 @@ class TestCompiledModel:
     def test_dense_operators_built_once_and_read_only(self):
         spec = encoded_preset_spec()
         assert spec.H0 is spec.H0 and spec.H1 is spec.H1
-        for op in (spec.H0, spec.H1):
+        assert spec.code_pair is spec.code_pair
+        for op in (spec.H0, spec.H1, *spec.code_pair):
             assert not op.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 op[0, 0] = 1.0
         assert np.array_equal(spec.H0, dense_terms(spec.h0_terms, spec.n))
         assert np.array_equal(spec.H1, dense_terms(spec.h1_terms, spec.n))
+        v = spec.code_basis
+        for projected, h in zip(spec.code_pair, (spec.H0, spec.H1)):
+            assert np.array_equal(projected, v.conj().T @ h @ v)
+
+    def test_unencoded_code_pair_is_the_dense_pair(self):
+        spec = two_level_spec()
+        assert spec.code_pair[0] is spec.H0 and spec.code_pair[1] is spec.H1
+
+    def test_penalty_shape_validated(self):
+        with pytest.raises(ValueError, match="penalty operator dimension"):
+            AdiabaticSpec(n=2, h0_terms=[], h1_terms=[], penalty=np.eye(2))
 
 
 class TestUniversalTerms:
