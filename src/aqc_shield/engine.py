@@ -1,7 +1,7 @@
 """Time-ordered propagation of the protected model and its reference twins.
 
 The integrator takes Hermitian-exponential steps of a sixth-order,
-three-sample Magnus rule, so every propagator is unitary by construction.
+three-sample Magnus rule, so every propagator is unitary to roundoff.
 Each step carries an embedded fourth-order twin built from the same
 samples; the gap between the two exponents drives a per-step size
 controller against a tolerance in the operator norm, the norm the
@@ -83,6 +83,7 @@ class RunArtifacts:
     """Outputs of one propagated run.
 
     ``diagnostics`` holds the statistics of :func:`propagate_with_stats`
+    (``steps``, ``rejected``, ``segments``, ``floored``, ``error_estimate``)
     plus ``total_time`` and ``coupled``; the report files do not read it.
     """
 
@@ -127,10 +128,11 @@ def propagate_with_stats(
     ``steps`` counts the exponentials taken, one per accepted step, and
     ``rejected`` the trials retried at a smaller size, which take no
     exponential; ``cfg.max_steps`` caps both together.  ``segments``
-    counts the integrated segments.  ``error_estimate`` sums err over the
-    accepted steps, so it is at most ``cfg.tol`` unless a step's share fell
-    below the 64-eps floor.  Since ||e^A - e^B|| <= ||A - B|| for
-    anti-Hermitian A and B, err bounds the error of the embedded
+    counts the integrated segments.  ``floored`` counts the accepted steps
+    whose share tol * dt / T fell below the 64-eps floor and was raised to
+    it.  ``error_estimate`` sums err over the accepted steps, so it is at
+    most ``cfg.tol`` when ``floored`` is 0.  Since ||e^A - e^B|| <= ||A - B||
+    for anti-Hermitian A and B, err bounds the error of the embedded
     fourth-order step; for the sixth-order result actually propagated it
     is a conservative estimate.
     """
@@ -138,7 +140,7 @@ def propagate_with_stats(
     if total_time < 0:
         raise ValueError(f"total time must be nonnegative, got {total_time}")
     dim = np.asarray(h_of_t(0.0)).shape[0]
-    stats = {"steps": 0, "rejected": 0, "segments": 0, "error_estimate": 0.0}
+    stats = {"steps": 0, "rejected": 0, "segments": 0, "floored": 0, "error_estimate": 0.0}
     u = np.eye(dim, dtype=complex)
     if total_time == 0:
         return u, stats
@@ -164,10 +166,13 @@ def propagate_with_stats(
                 )
             step = min(dt, b - t)
             k, err, dev = _magnus6_trial(h_of_t, t, step)
-            allowed = max(cfg.tol * step / total_time, floor)
+            share = cfg.tol * step / total_time
+            allowed = max(share, floor)
             if err <= allowed:
                 u = expm_hermitian(k, 1.0, tol=max(100 * dev, 1e-9)) @ u
                 stats["steps"] += 1
+                if share < floor:
+                    stats["floored"] += 1
                 stats["error_estimate"] += err
                 t = b if step == b - t else t + step
             else:
@@ -454,7 +459,7 @@ def run_protected(
     twin = artifacts(np.kron(u_sys, expm_hermitian(bath.h_b, total)), stats, coupled=False)
     if not np.any(bath.h_sb):
         # Zero coupling: the coupled run is the twin; it propagated nothing.
-        coupled_stats = dict(stats, steps=0, segments=0, coupled=True)
+        coupled_stats = dict(stats, steps=0, segments=0, floored=0, coupled=True)
         return replace(twin, diagnostics=coupled_stats), twin
     h = protected_hamiltonian(spec, bath, schedule, include_coupling=True)
     kicks = schedule_kicks(schedule, bath.bath_dim)

@@ -76,6 +76,35 @@ def check_expm_logm_roundtrip() -> float:
     return 1e-10 - worst
 
 
+def check_expm_eigen_reference() -> float:
+    # ||A||_1 = ||t h||_1 at 0, on both sides of every Taylor degree switch,
+    # at pi for pulse generators over their width t = w, and at >= 100,
+    # where the kernel scales and squares; the reference exponentiates the
+    # eigenvalues.
+    rng = np.random.default_rng(43)
+    norms = [0.0, 100.0, 300.0]
+    for _, theta_m in linalg.TAYLOR_THETA:
+        norms += [theta_m * (1 - 1e-6), theta_m * (1 + 1e-6)]
+    w = 0.05
+    worst = 0.0
+    for d in (1, 2, 4, 16, 64):
+        cases = []
+        for norm in norms:
+            m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h = (m + m.conj().T) / 2
+            cases.append((h * (norm / float(np.abs(h).sum(axis=0).max())), 1.0))
+        if d > 1:
+            letters = "".join(rng.choice(list("IXYZ")) for _ in range(d.bit_length() - 1))
+            cases.append((protocols.pulse_generator(pauli.PauliString(-1, letters), w), w))
+        for h, t in cases:
+            u = linalg.expm_hermitian(h, t)
+            evals, vecs = np.linalg.eigh(h)
+            ref = (vecs * np.exp(-1j * t * evals)) @ vecs.conj().T
+            worst = max(worst, float(np.max(np.abs(u - ref))),
+                        float(np.max(np.abs(u.conj().T @ u - np.eye(d)))))
+    return 1e-12 - worst
+
+
 def check_commutator_norm_inequality() -> float:
     rng = np.random.default_rng(17)
     worst = -np.inf
@@ -399,6 +428,7 @@ ALL_CHECKS = [
     ("pauli.dense_mul_consistency", check_pauli_dense_consistency),
     ("pauli.commute_dense_agreement", check_pauli_commute_agreement),
     ("pauli.expm_logm_roundtrip", check_expm_logm_roundtrip),
+    ("linalg.expm_eigen_reference", check_expm_eigen_reference),
     ("pauli.commutator_norm_inequality", check_commutator_norm_inequality),
     ("codes.group_average_idempotent", check_group_average_idempotent),
     ("codes.group_average_commutes", check_group_average_commutes),

@@ -118,6 +118,16 @@ class TestPropagate:
         with pytest.raises(ValueError, match="non-Hermitian sample"):
             propagate_with_stats(lambda t: bad, 1.0)
 
+    def test_floored_steps_counted(self, rng):
+        # at tol = 1e-14 every share tol * dt / T is below the 64-eps floor
+        a = random_hermitian(rng, 2)
+        b = random_hermitian(rng, 2)
+        h = lambda t: a + math.sin(3 * t) * b
+        _, tight = propagate_with_stats(h, 1.0, IntegratorConfig(tol=1e-14))
+        _, loose = propagate_with_stats(h, 1.0, IntegratorConfig(tol=1e-8))
+        assert 0 < tight["floored"] <= tight["steps"]
+        assert loose["floored"] == 0 and loose["error_estimate"] <= 1e-8
+
     def test_step_cap(self, rng):
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 2)
@@ -312,6 +322,7 @@ class TestRunProtected:
         assert trace_distance(coupled.rho_final, uncoupled.rho_final) == 0.0
         # the coupled run is the twin and propagated nothing itself
         assert coupled.diagnostics["steps"] == 0 and coupled.diagnostics["coupled"]
+        assert coupled.diagnostics["floored"] == 0
         assert uncoupled.diagnostics["steps"] > 0
         assert coupled.diagnostics["error_estimate"] == uncoupled.diagnostics["error_estimate"]
 
@@ -321,6 +332,7 @@ class TestRunProtected:
         _, _, _, coupled, uncoupled = quick_protected(j=0.1, tol=tol)
         for art in (coupled, uncoupled):
             assert 0.0 < art.diagnostics["error_estimate"] <= tol
+            assert art.diagnostics["floored"] == 0
 
     @pytest.mark.parametrize("n_b, w, gated_penalty", [(2, 0.0, False), (1, 0.05, True)])
     def test_factorized_twin_matches_joint_propagation(self, n_b, w, gated_penalty):

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_hermitian
+from aqc_shield import linalg
+from aqc_shield.engine import propagate_with_stats
 from aqc_shield.linalg import (
+    TAYLOR_THETA,
     BranchCutError,
     expm_hermitian,
     logm_unitary,
@@ -58,6 +61,45 @@ class TestExpm:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             expm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+    def test_taylor_theta_from_tail_bound(self):
+        # theta_m is the root of sum_{j > m} theta^j / j! = 2^-53
+        def tail(theta, m):
+            return math.fsum(theta**j / math.factorial(j) for j in range(m + 1, m + 40))
+
+        for m, theta_m in TAYLOR_THETA:
+            assert m % 3 == 2
+            lo, hi = 0.0, 1.0
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if tail(mid, m) <= 2.0**-53 else (lo, mid)
+            assert theta_m == pytest.approx(lo, rel=1e-12)
+
+    def test_zero_exponent_is_exact_identity(self, rng):
+        assert np.array_equal(expm_hermitian(np.zeros((4, 4)), 1.0), np.eye(4))
+        assert np.array_equal(expm_hermitian(random_hermitian(rng, 4), 0.0), np.eye(4))
+
+    def test_inverse_is_negative_time(self, rng):
+        h = random_hermitian(rng, 8)
+        for t in (0.05, 0.7, 40.0):
+            u = expm_hermitian(h, -t) @ expm_hermitian(h, t)
+            assert np.max(np.abs(u - np.eye(8))) <= 1e-12
+
+    def test_dimension_one(self):
+        u = expm_hermitian(np.array([[2.5]]), 0.3)
+        assert u.shape == (1, 1)
+        assert u[0, 0] == pytest.approx(np.exp(-0.75j), abs=1e-15)
+
+    def test_step_path_takes_no_eigendecomposition(self, rng, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called on the step path")
+
+        monkeypatch.setattr(linalg.np.linalg, "eigh", no_eigh)
+        a = random_hermitian(rng, 4)
+        b = random_hermitian(rng, 4)
+        u, stats = propagate_with_stats(lambda t: a + math.sin(2 * t) * b, 1.0)
+        assert stats["steps"] > 0
+        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
 
 
 class TestLogm:
