@@ -45,6 +45,7 @@ from .protocols import (
     scaled_parameters,
 )
 from .engine import (
+    AffineGenerator,
     IntegratorConfig,
     RunArtifacts,
     ClosedRun,

@@ -1,14 +1,19 @@
 """Time-ordered propagation of the protected model and its reference twins.
 
-The integrator takes Hermitian-exponential steps of a sixth-order,
-three-sample Magnus rule, so every propagator is unitary to roundoff.
-Each step carries an embedded fourth-order twin built from the same
-samples; the gap between the two exponents drives a per-step size
-controller against a tolerance in the operator norm, the norm the
-trace-distance bounds use (||U rho U^dag - V rho V^dag||_1 <= 2 ||U - V||).
-Steps never cross a pulse edge: the schedule supplies breakpoints, and in
-the ideal-pulse limit w = 0 the pulses are applied as exact unitary kicks
-between free segments rather than as narrow windows.
+Every generator here is piecewise affine, H(t) = P_k + f(t) Q: Q = H1 - H0
+is shared, f is the interpolation schedule, and the piece P_k holds H0 with
+the penalty, bath and coupling terms and, inside a finite pulse window, that
+window's pulse generator.  The integrator takes Hermitian-exponential steps
+of a sixth-order, three-sample Magnus rule, so every propagator is unitary
+to roundoff.  For an affine generator the rule and its embedded
+fourth-order twin are real combinations of ten commutators formed once per
+piece, so a trial step costs one linear combination and one product.  The
+gap between the two exponents drives a per-step size controller against a
+tolerance in the operator norm, the norm the trace-distance bounds use
+(||U rho U^dag - V rho V^dag||_1 <= 2 ||U - V||).  Steps never cross a
+pulse edge: the schedule supplies breakpoints, and in the ideal-pulse limit
+w = 0 the pulses are applied as exact unitary kicks between free segments
+rather than as narrow windows.
 
 Three canonical runs share one integrator: the coupled run under the full
 Hamiltonian, the uncoupled twin with the system-bath term deleted but
@@ -37,6 +42,7 @@ from .linalg import (
     logm_unitary,
     op_norm,
     partial_trace,
+    require_hermitian,
 )
 # ``dense_terms`` stays bound here for callers that wrap it at this module
 # (the benchmark tracer does); the engine itself reads the spec's cache.
@@ -45,8 +51,6 @@ from .protocols import PulseSchedule, pulse_generator, slot_index
 
 # Gauss-Legendre nodes of one step: 1/2 - r, 1/2 and 1/2 + r.
 _GAUSS_R = math.sqrt(15) / 10
-# Largest entry of H - H^dag a generator sample may carry.
-_HERMITIAN_TOL = 1e-8
 
 BATH_STATES = ("maximally-mixed", "ground")
 
@@ -78,6 +82,33 @@ class IntegratorConfig:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
 
 
+@dataclass(frozen=True)
+class AffineGenerator:
+    """Piecewise-affine Hermitian generator H(t) = pieces[k] + f(t) q.
+
+    ``piece_at`` maps a time inside a segment between two breakpoints of the
+    propagation to the index k of that segment's piece; ``None`` means
+    there is one piece.  Each piece and ``q`` are checked Hermitian within
+    1e-8 once, here, and replaced by their Hermitian parts.
+    """
+
+    pieces: tuple[np.ndarray, ...]
+    q: np.ndarray
+    f: Callable[[float], float]
+    piece_at: Callable[[float], int] | None = None
+
+    def __post_init__(self):
+        parts = []
+        for k, a in enumerate((*self.pieces, self.q)):
+            if a.shape != self.q.shape:
+                raise ValueError(f"piece shape {a.shape} differs from q's {self.q.shape}")
+            what = "generator q" if k == len(self.pieces) else f"generator piece {k}"
+            require_hermitian(a, 1e-8, what)
+            parts.append(0.5 * (a + a.conj().T))
+        object.__setattr__(self, "pieces", tuple(parts[:-1]))
+        object.__setattr__(self, "q", parts[-1])
+
+
 @dataclass
 class RunArtifacts:
     """Outputs of one propagated run.
@@ -104,22 +135,27 @@ class ClosedRun:
 
 
 def propagate_with_stats(
-    h_of_t: Callable[[float], np.ndarray],
+    h_of_t: AffineGenerator,
     total_time: float,
     cfg: IntegratorConfig | None = None,
     breakpoints: tuple[float, ...] = (),
     kicks: tuple[tuple[float, np.ndarray], ...] = (),
 ) -> tuple[np.ndarray, dict]:
-    """Time-ordered propagator of a piecewise-smooth Hermitian generator,
+    """Time-ordered propagator of a piecewise-affine Hermitian generator,
     and the integrator statistics.
 
-    ``breakpoints`` mark discontinuities of ``h_of_t`` (pulse edges);
-    integration steps are aligned so no step straddles one.  ``kicks`` are
-    (time, unitary) pairs applied instantaneously once evolution reaches
-    that time, in list order for coinciding times.
+    ``breakpoints`` mark the edges where ``h_of_t`` switches piece (pulse
+    edges); integration steps are aligned so no step straddles one, and
+    each segment between edges takes the piece ``h_of_t.piece_at`` gives
+    its midpoint.  ``kicks`` are (time, unitary) pairs applied
+    instantaneously once evolution reaches that time, in list order for
+    coinciding times.  The generator is read through its fields only.
 
     Each trial step forms the sixth-order Magnus exponent Omega6 and its
-    embedded fourth-order twin Omega4 from three Gauss samples.  A trial of
+    embedded fourth-order twin Omega4 of the three-sample Gauss rule.  With
+    H(t) = P + f(t) Q both are real combinations of ten commutators of
+    X = -iP and Y = -iQ, formed once per piece (:func:`_commutator_stack`),
+    so a trial costs one linear combination and one product.  A trial of
     length dt is accepted when err >= ||Omega6 - Omega4||_2 is within
     tol * dt / T (at least 64 eps) and then costs one exponential; the next
     step size follows err ~ dt^5 against that share.  The step size is
@@ -139,7 +175,7 @@ def propagate_with_stats(
     cfg = cfg or IntegratorConfig()
     if total_time < 0:
         raise ValueError(f"total time must be nonnegative, got {total_time}")
-    dim = np.asarray(h_of_t(0.0)).shape[0]
+    dim = h_of_t.q.shape[0]
     stats = {"steps": 0, "rejected": 0, "segments": 0, "floored": 0, "error_estimate": 0.0}
     u = np.eye(dim, dtype=complex)
     if total_time == 0:
@@ -152,11 +188,15 @@ def propagate_with_stats(
     edges.update(b for b in breakpoints if 0.0 < b < total_time)
     ordered = sorted(edges)
     floor = 64 * np.finfo(float).eps
+    stacks: dict[int, np.ndarray] = {}
 
     for mat in kicks_at.get(0.0, ()):
         u = mat @ u
     dt = ordered[1]
     for a, b in zip(ordered[:-1], ordered[1:]):
+        piece = 0 if h_of_t.piece_at is None else h_of_t.piece_at(0.5 * (a + b))
+        if piece not in stacks:
+            stacks[piece] = _commutator_stack(h_of_t.pieces[piece], h_of_t.q)
         t = a
         while b - t > 1e-15 * max(1.0, total_time):
             if stats["steps"] + stats["rejected"] >= cfg.max_steps:
@@ -165,11 +205,11 @@ def propagate_with_stats(
                     f"{cfg.max_steps} trial steps to reach tolerance {cfg.tol:.2e}"
                 )
             step = min(dt, b - t)
-            k, err, dev = _magnus6_trial(h_of_t, t, step)
+            k, err = _magnus6_trial(stacks[piece], h_of_t.f, t, step)
             share = cfg.tol * step / total_time
             allowed = max(share, floor)
             if err <= allowed:
-                u = expm_hermitian(k, 1.0, tol=max(100 * dev, 1e-9)) @ u
+                u = expm_hermitian(k, 1.0, tol=1e-9) @ u
                 stats["steps"] += 1
                 if share < floor:
                     stats["floored"] += 1
@@ -186,32 +226,49 @@ def propagate_with_stats(
     return u, stats
 
 
-def _magnus6_trial(h_of_t, t0, dt) -> tuple[np.ndarray, float, float]:
+def _commutator_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """[X, Y, Z, [X,Z], [Y,Z], [X,[X,Z]], [X,[Y,Z]], [Y,[Y,Z]], [Z,[X,Z]],
+    [Z,[Y,Z]]] for X = -iP, Y = -iQ and Z = [X,Y]: eight products.
+
+    These span every commutator the three-sample rule forms from
+    A(t) = X + f(t) Y; [Y,[X,Z]] = [X,[Y,Z]] by the Jacobi identity.
+    """
+    x, y = -1j * p, -1j * q
+    z = _commutator(x, y)
+    xz, yz = _commutator(x, z), _commutator(y, z)
+    return np.stack([x, y, z, xz, yz, _commutator(x, xz), _commutator(x, yz),
+                     _commutator(y, yz), _commutator(z, xz), _commutator(z, yz)])
+
+
+def _magnus6_trial(stack, f, t0, dt) -> tuple[np.ndarray, float]:
     """One sixth-order Magnus trial over [t0, t0 + dt] and its error value.
 
     Uses the three-sample Gauss rule of Blanes, Casas & Ros (BIT 40, 434
-    (2000)) with A = -iH.  Returns (k, err, dev): the step is exp(-i k) for
-    the Hermitian k = i Omega6, err >= ||Omega6 - Omega4||_2 for the
-    embedded fourth-order exponent Omega4, and dev is the largest
-    Hermiticity deviation of the samples.
+    (2000)) with A = -iH = X + f(t) Y, ``stack`` from
+    :func:`_commutator_stack`.  Returns (k, err): the step is exp(-i k) for
+    the Hermitian k = i Omega6, and err >= ||Omega6 - Omega4||_2 for the
+    embedded fourth-order exponent Omega4.
     """
-    samples = [np.asarray(h_of_t(t0 + c * dt)) for c in (0.5 - _GAUSS_R, 0.5, 0.5 + _GAUSS_R)]
-    dev = max(float(np.max(np.abs(h - h.conj().T))) for h in samples)
-    if dev > _HERMITIAN_TOL:
-        raise ValueError(
-            f"non-Hermitian sample near t={t0:g} (deviation {dev:.3e})"
-        )
-    a1, a2, a3 = (-1j * h for h in samples)
-    alpha1 = dt * a2
-    alpha2 = (math.sqrt(15) * dt / 3) * (a3 - a1)
-    alpha3 = (10 * dt / 3) * (a3 - 2 * a2 + a1)
-    c1 = _commutator(alpha1, alpha2)
-    c2 = _commutator(alpha1, 2 * alpha3 + c1) / -60
-    tail = _commutator(-20 * alpha1 - alpha3 + c1, alpha2 + c2) / 240
-    # Omega6 = alpha1 + alpha3/12 + tail and Omega4 = alpha1 + alpha3/12 - c1/12
-    omega6 = alpha1 + alpha3 / 12 + tail
-    err = _hermitian_norm_bound(1j * (tail + c1 / 12))
-    return 1j * omega6, err, dev
+    f1, f2, f3 = (f(t0 + c * dt) for c in (0.5 - _GAUSS_R, 0.5, 0.5 + _GAUSS_R))
+    # alpha1 = p X + q Y, alpha2 = b Y, alpha3 = c Y; c1 = [alpha1, alpha2]
+    # = pb Z; c2 = [alpha1, 2 alpha3 + c1] / -60 = rz Z + rxz [X,Z] + ryz [Y,Z];
+    # tail = [L, R] / 240 with L = -20 alpha1 - alpha3 + c1 and R = alpha2 + c2.
+    p, q = dt, dt * f2
+    b = (math.sqrt(15) * dt / 3) * (f3 - f1)
+    c = (10 * dt / 3) * (f3 - 2 * f2 + f1)
+    lx, ly, lz = -20 * p, -20 * q - c, p * b
+    rz, rxz, ryz = -c * p / 30, -p * p * b / 60, -p * q * b / 60
+    tail = np.array([0.0, 0.0, lx * b, lx * rz, ly * rz - lz * b, lx * rxz,
+                     lx * ryz + ly * rxz, ly * ryz, lz * rxz, lz * ryz]) / 240
+    # Omega6 = alpha1 + alpha3/12 + tail and Omega6 - Omega4 = tail + c1/12
+    rows = np.stack([tail, tail])
+    rows[0, :2] += (p, q + c / 12)
+    rows[1, 2] += p * b / 12
+    # real rows act on the real and imaginary parts alike: one real product
+    d = stack.shape[-1]
+    combined = rows @ stack.reshape(len(stack), -1).view(float)
+    omega6, gap = combined.view(complex).reshape(2, d, d)
+    return 1j * omega6, _hermitian_norm_bound(1j * gap)
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -260,15 +317,11 @@ def run_closed_adiabatic(spec: AdiabaticSpec, cfg: IntegratorConfig | None = Non
     on the code space (``spec.code_pair``) and its final state lifted once
     by the code basis V.
     """
-    total = spec.total_time
     h0, h1 = spec.code_pair
-
-    def h(t: float) -> np.ndarray:
-        return spec.interpolate(min(max(t / total, 0.0), 1.0), h0, h1)
-
+    generator = AffineGenerator((h0,), h1 - h0, _schedule_fraction(spec, spec.total_time))
     v = spec.code_basis
     psi0 = instantaneous_ground_state(spec, 0.0)
-    u, _ = propagate_with_stats(h, total, cfg)
+    u, _ = propagate_with_stats(generator, spec.total_time, cfg)
     psi = u @ psi0 if v is None else v @ (u @ (v.conj().T @ psi0))
     target = instantaneous_ground_state(spec, 1.0)
     # For unit vectors the trace distance is sqrt(1 - |<target|psi>|^2),
@@ -283,7 +336,7 @@ def protected_hamiltonian(
     bath: SystemBathSpec,
     schedule: PulseSchedule,
     include_coupling: bool = True,
-) -> Callable[[float], np.ndarray]:
+) -> AffineGenerator:
     """H(t) of one protected run variant.
 
     With ``include_coupling`` this is the joint H_sys(t) (x) I + I (x) H_B
@@ -294,39 +347,49 @@ def protected_hamiltonian(
     return _timed_hamiltonian(spec, schedule, True, bath if include_coupling else None)
 
 
+def _schedule_fraction(spec: AdiabaticSpec, total: float) -> Callable[[float], float]:
+    """t -> f(t / T), the interpolation weight of H1 - H0, clamped to [0, 1]."""
+    return lambda t: spec.schedule(min(max(t / total, 0.0), 1.0))
+
+
 def _timed_hamiltonian(
     spec: AdiabaticSpec,
     schedule: PulseSchedule,
     include_control: bool,
     bath: SystemBathSpec | None = None,
-) -> Callable[[float], np.ndarray]:
+) -> AffineGenerator:
     """H_sys(t) on 2^n: the interpolation, the spec's (gated) penalty and, with
     ``include_control``, the pulse generators.  With ``bath`` every term is
-    lifted once and the bath and coupling terms are added: the joint H(t)."""
+    lifted once and the bath and coupling terms are added: the joint H(t).
+
+    Piece 0 holds the free evolution; with finite-width windows that change
+    the Hamiltonian, piece 1 + (slot mod the number of windows) holds the
+    window of a slot: its pulse generator and the penalty unless gated off.
+    """
     total = schedule.total_time
     if bath is None:
         lift, constants = (lambda a: a), ()
     else:
         lift = lambda a: np.kron(a, np.eye(bath.bath_dim))  # noqa: E731
         constants = (np.kron(np.eye(1 << spec.n), bath.h_b), bath.h_sb)
-    h0, h1 = lift(spec.H0), lift(spec.H1)
-    pen = None if spec.penalty is None else lift(spec.penalty)
-    gens = None
-    if include_control and schedule.w > 0:
-        gens = [lift(pulse_generator(p, schedule.w)) for p in schedule.pulses]
+    base = lift(spec.H0)
+    for term in constants:
+        base = base + term
+    free = base if spec.penalty is None else base + lift(spec.penalty)
+    window = free if spec.penalty_during_pulse else base
+    windows = []
+    if schedule.w > 0 and include_control:
+        windows = [window + lift(pulse_generator(p, schedule.w)) for p in schedule.pulses]
+    elif schedule.w > 0 and window is not free:
+        windows = [window]
+    piece_at = None
+    if windows:
+        def piece_at(t: float) -> int:
+            slot, in_window = slot_index(schedule, min(t, total))
+            return 1 + slot % len(windows) if in_window else 0
 
-    def h(t: float) -> np.ndarray:
-        out = spec.interpolate(min(max(t / total, 0.0), 1.0), h0, h1)
-        slot, in_window = slot_index(schedule, min(t, total))
-        if pen is not None and (spec.penalty_during_pulse or not in_window):
-            out = out + pen
-        if gens is not None and in_window:
-            out = out + gens[slot % schedule.order]
-        for term in constants:
-            out = out + term
-        return out
-
-    return h
+    return AffineGenerator((free, *windows), lift(spec.H1 - spec.H0),
+                           _schedule_fraction(spec, total), piece_at)
 
 
 def schedule_breakpoints(schedule: PulseSchedule, until: float | None = None) -> tuple[float, ...]:
@@ -373,8 +436,8 @@ def frame_unitary(
     """
     total = schedule.total_time if total_time is None else total_time
     h_sys = _timed_hamiltonian(spec, schedule, False)
-    gated = spec.penalty is not None and not spec.penalty_during_pulse and schedule.w > 0
-    bp = schedule_breakpoints(schedule, total) if gated else ()
+    # only a penalty gated off in finite windows makes the frame switch piece
+    bp = schedule_breakpoints(schedule, total) if len(h_sys.pieces) > 1 else ()
     u_sys, _ = propagate_with_stats(h_sys, total, cfg, breakpoints=bp)
     return np.kron(u_sys, expm_hermitian(bath.h_b, total))
 
@@ -459,7 +522,7 @@ def run_protected(
     twin = artifacts(np.kron(u_sys, expm_hermitian(bath.h_b, total)), stats, coupled=False)
     if not np.any(bath.h_sb):
         # Zero coupling: the coupled run is the twin; it propagated nothing.
-        coupled_stats = dict(stats, steps=0, segments=0, floored=0, coupled=True)
+        coupled_stats = dict(stats, steps=0, rejected=0, segments=0, floored=0, coupled=True)
         return replace(twin, diagnostics=coupled_stats), twin
     h = protected_hamiltonian(spec, bath, schedule, include_coupling=True)
     kicks = schedule_kicks(schedule, bath.bath_dim)

@@ -3,8 +3,9 @@
 Everything here works on plain ``numpy.ndarray`` values.  The Hermitian
 exponential is a truncated Taylor series evaluated with matrix products
 only, its truncation error held at unit roundoff in the operator norm.  The
-unitary logarithm goes through the unitary's eigenstructure rather than a
-series expansion, which is exact to roundoff and makes the principal branch
+unitary logarithm goes through the unitary's eigenvectors, taken from a
+Hermitian Cayley transform with NumPy's eigensolvers, rather than a series
+expansion, which is exact to roundoff and makes the principal branch
 explicit.
 """
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_TOL = 1e-10
 
@@ -107,18 +107,31 @@ def expm_hermitian(h: np.ndarray, t: float = 1.0, tol: float = DEFAULT_TOL) -> n
 def logm_unitary(u: np.ndarray, tol: float = DEFAULT_TOL, branch_tol: float = 1e-10) -> np.ndarray:
     """Hermitian H on the principal branch with exp(-iH) = u.
 
-    Uses a complex Schur decomposition; for a (numerically) unitary input
-    the Schur factor is diagonal, so H = Q diag(-angle) Q^dag is Hermitian
-    by construction.  Raises :class:`BranchCutError` when an eigenphase
-    falls within ``branch_tol`` of the +/- pi boundary, where the principal
-    branch is ambiguous.
+    The eigenvectors come from the Hermitian Cayley transform
+    C = i(I - w)(I + w)^-1 of w = e^{i(pi - m)} u, where m is the middle of
+    the widest gap between u's eigenphases: C has eigenvalues tan(phi/2)
+    for the eigenphases phi of w, which stay clear of pi and are strictly
+    monotone in phi, so distinct eigenphases of u never mix.  With Q the
+    eigenvectors of C, Q^dag u Q is diagonal for a (numerically) unitary
+    input and H = Q diag(-angle) Q^dag is Hermitian by construction.
+    Raises :class:`BranchCutError` when an eigenphase of u falls within
+    ``branch_tol`` of the +/- pi boundary, where the principal branch is
+    ambiguous.
     """
     require_unitary(u, tol, "log argument")
-    t_mat, q = scipy.linalg.schur(u, output="complex")
+    d = u.shape[0]
+    phases = np.sort(np.angle(np.linalg.eigvals(u)))
+    gaps = np.diff(phases, append=phases[0] + 2 * np.pi)
+    widest = int(np.argmax(gaps))
+    w = u * np.exp(1j * (np.pi - phases[widest] - gaps[widest] / 2))
+    eye = np.eye(d)
+    cayley = np.linalg.solve(eye + w, 1j * (eye - w))
+    _, q = np.linalg.eigh(0.5 * (cayley + cayley.conj().T))
+    t_mat = q.conj().T @ u @ q
     diag = np.diag(t_mat)
-    off = float(np.max(np.abs(t_mat - np.diag(diag)))) if t_mat.shape[0] > 1 else 0.0
+    off = float(np.max(np.abs(t_mat - np.diag(diag)))) if d > 1 else 0.0
     if off > 100 * tol:
-        raise ValueError(f"Schur factor not diagonal (off-diagonal {off:.3e}); input not normal?")
+        raise ValueError(f"Q^dag u Q not diagonal (off-diagonal {off:.3e}); input not normal?")
     phases = np.angle(diag)
     if np.any(np.abs(np.abs(phases) - np.pi) < branch_tol):
         raise BranchCutError("eigenphase at the +/- pi boundary; principal branch is ambiguous")

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from aqc_shield.codes import (
     universal_group,
 )
 from aqc_shield.engine import (
+    AffineGenerator,
     DegenerateGroundStateError,
     IntegratorConfig,
     effective_hamiltonian,
@@ -54,22 +56,33 @@ def encoded_spec(total_time, e_terms=None):
     )
 
 
+def affine(a, b=None, g=None):
+    """The one-piece generator t -> a + g(t) b (constant a without b)."""
+    if b is None:
+        return AffineGenerator((a,), np.zeros_like(a), lambda t: 0.0)
+    return AffineGenerator((a,), b, g)
+
+
+def sin3(t):
+    return math.sin(3 * t)
+
+
 class TestPropagate:
     def test_constant_matches_expm(self, rng):
         h = random_hermitian(rng, 8)
-        u = propagate_with_stats(lambda t: h, 0.9)[0]
+        u = propagate_with_stats(affine(h), 0.9)[0]
         assert op_norm(u - expm_hermitian(h, 0.9)) <= 1e-10
 
     def test_unitarity_time_dependent(self, rng):
         a = random_hermitian(rng, 16)
         b = random_hermitian(rng, 16)
-        u = propagate_with_stats(lambda t: a + math.sin(3 * t) * b, 2.0)[0]
+        u = propagate_with_stats(affine(a, b, sin3), 2.0)[0]
         assert op_norm(u.conj().T @ u - np.eye(16)) <= 1e-9
 
     def test_self_convergence_under_tolerance_halving(self, rng):
         a = random_hermitian(rng, 4)
         b = random_hermitian(rng, 4)
-        h = lambda t: a + math.cos(2 * t) * b
+        h = affine(a, b, lambda t: math.cos(2 * t))
         coarse = propagate_with_stats(h, 1.5, IntegratorConfig(tol=1e-6))[0]
         fine = propagate_with_stats(h, 1.5, IntegratorConfig(tol=5e-7))[0]
         assert op_norm(fine - coarse) < 1e-6
@@ -81,8 +94,8 @@ class TestPropagate:
         a = random_hermitian(rng, 16) / 4
         b = random_hermitian(rng, 16) / 4
         eye = np.eye(4)
-        h = lambda t: a + math.sin(3 * t) * b
-        lifted = lambda t: np.kron(h(t), eye)
+        h = affine(a, b, sin3)
+        lifted = affine(np.kron(a, eye), np.kron(b, eye), sin3)
         total, tol = 2.0, 1e-6
         bp = tuple(total * k / 32 for k in range(1, 32))
         ref = propagate_with_stats(h, total, IntegratorConfig(tol=1e-11), bp)[0]
@@ -97,7 +110,7 @@ class TestPropagate:
         x = to_dense(PauliString.from_letters("X"))
         z = to_dense(PauliString.from_letters("Z"))
         zero = np.zeros((2, 2))
-        u = propagate_with_stats(lambda t: zero, 1.0, kicks=((0.5, x), (1.0, z)))[0]
+        u = propagate_with_stats(affine(zero), 1.0, kicks=((0.5, x), (1.0, z)))[0]
         assert np.allclose(u, z @ x)
 
     def test_coinciding_kicks_applied_in_list_order(self):
@@ -106,23 +119,43 @@ class TestPropagate:
         z = to_dense(PauliString.from_letters("Z"))
         zero = np.zeros((2, 2))
         kicks = ((0.5, x), (1.0, y), (0.5, z))
-        u = propagate_with_stats(lambda t: zero, 1.0, kicks=kicks)[0]
+        u = propagate_with_stats(affine(zero), 1.0, kicks=kicks)[0]
         assert np.allclose(u, y @ z @ x)
 
     def test_zero_time(self):
-        u = propagate_with_stats(lambda t: np.eye(2, dtype=complex), 0.0)[0]
+        u = propagate_with_stats(affine(np.eye(2, dtype=complex)), 0.0)[0]
         assert np.array_equal(u, np.eye(2))
 
-    def test_non_hermitian_sample_rejected(self):
+    def test_non_hermitian_piece_or_q_rejected(self):
+        # the generator refuses at construction, before any step is taken
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(ValueError, match="non-Hermitian sample"):
-            propagate_with_stats(lambda t: bad, 1.0)
+        good = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match="generator piece 1 is not Hermitian"):
+            AffineGenerator((good, bad), good, sin3, lambda t: 1)
+        with pytest.raises(ValueError, match="generator q is not Hermitian"):
+            AffineGenerator((good,), bad, sin3)
+
+    def test_wrapped_generator_propagates_bitwise_equal(self, rng):
+        # a functools.wraps wrapper carries a copy of the fields in its
+        # __dict__; the propagator reads nothing else
+        a, b, c = (random_hermitian(rng, 4) for _ in range(3))
+        gen = AffineGenerator((a, a + c), b, sin3, lambda t: int(t > 0.5))
+
+        @functools.wraps(gen)
+        def wrapper(*args, **kwargs):
+            raise AssertionError("the propagator never calls the generator")
+
+        wrapper.bench_kind = "twin"
+        u, stats = propagate_with_stats(gen, 1.0, breakpoints=(0.5,))
+        u_wrapped, stats_wrapped = propagate_with_stats(wrapper, 1.0, breakpoints=(0.5,))
+        assert np.array_equal(u_wrapped, u)
+        assert stats_wrapped == stats and stats["segments"] == 2
 
     def test_floored_steps_counted(self, rng):
         # at tol = 1e-14 every share tol * dt / T is below the 64-eps floor
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 2)
-        h = lambda t: a + math.sin(3 * t) * b
+        h = affine(a, b, sin3)
         _, tight = propagate_with_stats(h, 1.0, IntegratorConfig(tol=1e-14))
         _, loose = propagate_with_stats(h, 1.0, IntegratorConfig(tol=1e-8))
         assert 0 < tight["floored"] <= tight["steps"]
@@ -133,7 +166,7 @@ class TestPropagate:
         b = random_hermitian(rng, 2)
         cfg = IntegratorConfig(tol=1e-14, max_steps=8)
         with pytest.raises(engine.StepLimitError):
-            propagate_with_stats(lambda t: a + math.sin(40 * t) * b, 5.0, cfg)
+            propagate_with_stats(affine(a, b, lambda t: math.sin(40 * t)), 5.0, cfg)
 
 
 class TestMagnus6:
@@ -153,12 +186,13 @@ class TestMagnus6:
         # pair's gap ||Omega6 - Omega4|| = O(dt^5)
         a = random_hermitian(rng, 8)
         b = random_hermitian(rng, 8)
-        h = lambda t: a + math.sin(3 * t) * b
+        stack = engine._commutator_stack(a, b)
         t0 = 0.3
         errors, gaps = [], []
         for dt in (0.1, 0.05):
-            k, gap, _ = engine._magnus6_trial(h, t0, dt)
-            ref, _ = propagate_with_stats(lambda t: h(t0 + t), dt, IntegratorConfig(tol=1e-13))
+            k, gap = engine._magnus6_trial(stack, sin3, t0, dt)
+            shifted = affine(a, b, lambda t: sin3(t0 + t))
+            ref, _ = propagate_with_stats(shifted, dt, IntegratorConfig(tol=1e-13))
             errors.append(op_norm(expm_hermitian(k, 1.0) - ref))
             gaps.append(gap)
         assert errors[0] / errors[1] >= 2 ** 6.5
@@ -168,7 +202,7 @@ class TestMagnus6:
         a = random_hermitian(rng, 16)
         b = random_hermitian(rng, 16)
         calls = self.counting_expm(monkeypatch)
-        _, stats = propagate_with_stats(lambda t: a + math.sin(3 * t) * b, 2.0)
+        _, stats = propagate_with_stats(affine(a, b, sin3), 2.0)
         assert stats["rejected"] > 0
         assert len(calls) == stats["steps"]
 
@@ -178,7 +212,7 @@ class TestMagnus6:
         calls = self.counting_expm(monkeypatch)
         cfg = IntegratorConfig(tol=1e-14, max_steps=3)
         with pytest.raises(engine.StepLimitError):
-            propagate_with_stats(lambda t: a + math.sin(40 * t) * b, 5.0, cfg)
+            propagate_with_stats(affine(a, b, lambda t: math.sin(40 * t)), 5.0, cfg)
         assert calls == []
 
 
@@ -288,22 +322,29 @@ def quick_protected(j=0.1, total_time=2.0, tau=0.25, w=0.0, tol=1e-9, group=None
 def joint_twin_propagator(spec, bath, schedule, tol):
     """The uncoupled twin propagated on the joint space: H_sys(t) (x) I +
     I (x) H_B with joint kicks, H_sys built here from h_ad, the spec's gated
-    penalty and the pulse generators."""
+    penalty and the pulse generators, one piece per free interval and window."""
     total = schedule.total_time
-    gens = [pulse_generator(p, schedule.w) for p in schedule.pulses] if schedule.w > 0 else None
     eye_b = np.eye(bath.bath_dim)
     h_b = np.kron(np.eye(1 << spec.n), bath.h_b)
+    h_start = h_ad(spec, 0.0)  # f(0) = 0 and f(1) = 1 for every schedule
+    pen = 0 if spec.penalty is None else spec.penalty
+    free = h_start + pen
+    windows = []
+    if schedule.w > 0:
+        window = free if spec.penalty_during_pulse else h_start
+        windows = [window + pulse_generator(p, schedule.w) for p in schedule.pulses]
 
-    def h(t):
-        h_sys = h_ad(spec, min(max(t / total, 0.0), 1.0))
+    def piece_at(t):
         slot, in_window = slot_index(schedule, min(t, total))
-        if spec.penalty is not None and (spec.penalty_during_pulse or not in_window):
-            h_sys = h_sys + spec.penalty
-        if gens is not None and in_window:
-            h_sys = h_sys + gens[slot % schedule.order]
-        return np.kron(h_sys, eye_b) + h_b
+        return 1 + slot % schedule.order if in_window else 0
 
-    u, _ = propagate_with_stats(h, total, IntegratorConfig(tol=tol),
+    gen = AffineGenerator(
+        tuple(np.kron(h, eye_b) + h_b for h in (free, *windows)),
+        np.kron(h_ad(spec, 1.0) - h_start, eye_b),
+        lambda t: spec.schedule(min(max(t / total, 0.0), 1.0)),
+        piece_at,
+    )
+    u, _ = propagate_with_stats(gen, total, IntegratorConfig(tol=tol),
                                 breakpoints=schedule_breakpoints(schedule),
                                 kicks=schedule_kicks(schedule, bath.bath_dim))
     return u
@@ -323,6 +364,7 @@ class TestRunProtected:
         # the coupled run is the twin and propagated nothing itself
         assert coupled.diagnostics["steps"] == 0 and coupled.diagnostics["coupled"]
         assert coupled.diagnostics["floored"] == 0
+        assert coupled.diagnostics["rejected"] == 0
         assert uncoupled.diagnostics["steps"] > 0
         assert coupled.diagnostics["error_estimate"] == uncoupled.diagnostics["error_estimate"]
 

@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import random_density, random_hermitian
+import aqc_shield
 from aqc_shield import linalg
-from aqc_shield.engine import propagate_with_stats
+from aqc_shield.engine import AffineGenerator, propagate_with_stats
 from aqc_shield.linalg import (
     TAYLOR_THETA,
     BranchCutError,
@@ -97,7 +101,8 @@ class TestExpm:
         monkeypatch.setattr(linalg.np.linalg, "eigh", no_eigh)
         a = random_hermitian(rng, 4)
         b = random_hermitian(rng, 4)
-        u, stats = propagate_with_stats(lambda t: a + math.sin(2 * t) * b, 1.0)
+        generator = AffineGenerator((a,), b, lambda t: math.sin(2 * t))
+        u, stats = propagate_with_stats(generator, 1.0)
         assert stats["steps"] > 0
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
 
@@ -149,3 +154,11 @@ class TestPartialTrace:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError, match="dims"):
             partial_trace(np.eye(6, dtype=complex), (2, 4), (0,))
+
+
+def test_import_loads_no_scipy():
+    # SciPy's import alone costs more than half of ``import aqc_shield``
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aqc_shield.__file__)))
+    code = "import sys, aqc_shield; sys.exit('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
