@@ -5,6 +5,9 @@ Subcommands: ``simulate <cfg>``, ``sweep <cfg>``, ``gap <cfg>``,
 directory (or stdout for ``code`` and ``verify`` reports); logs go to
 standard error.  The ``AQC_SHIELD_OUT`` environment variable overrides the
 configured output directory; ``--out-dir`` overrides both.
+``simulate`` and ``sweep`` also take ``--seed`` and ``--tolerance``; ``gap``
+does not, since it builds no bath and propagates nothing, so neither value
+could change its output.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap = sub.add_parser("gap", help="emit the spectral-gap CSV for a configuration")
     p_gap.add_argument("config")
     p_gap.add_argument("--grid-points", type=int, default=101)
-    _add_common(p_gap)
+    p_gap.add_argument("--out-dir", default=None, help="override the output directory")
 
     p_code = sub.add_parser("code", help="print codewords and logical operators")
     p_code.add_argument("--n", type=int, required=True, help="physical qubits (even)")
@@ -52,9 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg, args):
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.model.seed = args.seed
-    if getattr(args, "tolerance", None) is not None:
+    if args.tolerance is not None:
         cfg.run.tolerance = args.tolerance
     return cfg
 
@@ -78,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"sweep: {len(rows)} points, {bad} failed", file=sys.stderr)
             return runner.EXIT_OK if bad == 0 else runner.EXIT_ERROR
         if args.command == "gap":
-            cfg = _apply_overrides(load_config(args.config), args)
+            cfg = load_config(args.config)
             path = runner.write_gap_csv(cfg, out_dir=args.out_dir,
                                         grid_points=args.grid_points)
             print(f"gap table written to {path}", file=sys.stderr)

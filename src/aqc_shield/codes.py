@@ -161,20 +161,11 @@ def code_from_universal_group(n: int) -> tuple[StabilizerCode, LogicalOperatorSe
     Xbar_j on the all-zero logical state, so for n=4 the labels come out
     in the order 00, 10, 01, 11.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"the even-weight code needs an even n >= 2, got {n}")
     k = n - 2
+    logical = _logical_operators(n)
     generators = (
         PauliString.global_string(n, "X"),
         PauliString.global_string(n, "Z"),
-    )
-    xbars = tuple(
-        pauli_mul(PauliString.single(n, 0, "X"), PauliString.single(n, j + 1, "X"))
-        for j in range(k)
-    )
-    zbars = tuple(
-        pauli_mul(PauliString.single(n, j + 1, "Z"), PauliString.single(n, n - 1, "Z"))
-        for j in range(k)
     )
     dim = 1 << n
     base = np.zeros(dim, dtype=complex)
@@ -186,12 +177,28 @@ def code_from_universal_group(n: int) -> tuple[StabilizerCode, LogicalOperatorSe
         vec = base
         for j in range(k):
             if (m >> j) & 1:
-                vec = apply_pauli(xbars[j], vec)
+                vec = apply_pauli(logical.xbars[j], vec)
         codewords[m] = vec
         labels.append("".join(str((m >> j) & 1) for j in range(k)))
     code = StabilizerCode(n, generators, codewords, tuple(labels))
     _validate_code(code)
-    return code, LogicalOperatorSet(xbars, zbars)
+    return code, logical
+
+
+def _logical_operators(n: int) -> LogicalOperatorSet:
+    """Xbar_j = sigma^x_0 sigma^x_{j+1} and Zbar_j = sigma^z_{j+1} sigma^z_{n-1}."""
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"the even-weight code needs an even n >= 2, got {n}")
+    k = n - 2
+    xbars = tuple(
+        pauli_mul(PauliString.single(n, 0, "X"), PauliString.single(n, j + 1, "X"))
+        for j in range(k)
+    )
+    zbars = tuple(
+        pauli_mul(PauliString.single(n, j + 1, "Z"), PauliString.single(n, n - 1, "Z"))
+        for j in range(k)
+    )
+    return LogicalOperatorSet(xbars, zbars)
 
 
 def _validate_code(code: StabilizerCode) -> None:
@@ -215,10 +222,11 @@ def encode_hamiltonian(
     Accepts single-site X or Z terms and two-site XX or ZZ terms on k = n-2
     logical qubits (0-based logical site j maps to Xbar_j / Zbar_j).  Pair
     terms simplify automatically: Xbar_i Xbar_j has support only on physical
-    sites i+1 and j+1 because the shared sigma^x_0 factors cancel.
+    sites i+1 and j+1 because the shared sigma^x_0 factors cancel.  Only
+    the logical operators are built, not the codewords.
     """
     k = n - 2
-    _, logical = code_from_universal_group(n)
+    logical = _logical_operators(n)
     out = []
     for coeff, term in terms:
         if term.n != k:

@@ -16,20 +16,12 @@ views live on the same object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 LETTERS = "IXYZ"
 
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
-
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 # Single-qubit products a*b = phase * c, keyed by (a, b).
 _SINGLE_PRODUCT = {
@@ -147,24 +139,13 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     return odd == 0
 
 
-def to_dense(p: PauliString, max_qubits: int = MAX_DENSE_QUBITS) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of ``p`` (phase included)."""
-    if p.n > max_qubits:
-        raise ValueError(f"dense conversion of {p.n} qubits exceeds the cap of {max_qubits}")
-    mat = reduce(np.kron, (PAULI_MATRICES[c] for c in p.letters))
-    return p.phase * mat
-
-
-def apply_pauli(p: PauliString, vec: np.ndarray) -> np.ndarray:
-    """Apply ``p`` to a state vector without forming the dense matrix.
+def _signed_permutation(p: PauliString) -> tuple[np.ndarray, int, np.ndarray]:
+    """(idx, flip, amp) with ``p |idx> = amp[idx] |idx ^ flip>`` on basis states.
 
     X and Y letters permute basis indices (bit flips); Y and Z letters
     contribute signs, and each Y a factor of i.
     """
     n = p.n
-    dim = 1 << n
-    if vec.shape != (dim,):
-        raise ValueError(f"state dimension {vec.shape} does not match 2^{n}")
     flip = 0
     sign_mask = 0
     n_y = 0
@@ -176,13 +157,34 @@ def apply_pauli(p: PauliString, vec: np.ndarray) -> np.ndarray:
             sign_mask |= bit
         if c == "Y":
             n_y += 1
-    idx = np.arange(dim)
-    parity = np.zeros(dim, dtype=np.int64)
+    idx = np.arange(1 << n)
+    parity = np.zeros(idx.size, dtype=np.int64)
     masked = idx & sign_mask
     while np.any(masked):
         parity ^= masked & 1
         masked >>= 1
     amp = p.phase * (1j) ** n_y * np.where(parity, -1.0, 1.0)
+    return idx, flip, amp
+
+
+def to_dense(p: PauliString, max_qubits: int = MAX_DENSE_QUBITS) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of ``p`` (phase included), written directly
+    as one signed entry per column rather than by a kron chain."""
+    if p.n > max_qubits:
+        raise ValueError(f"dense conversion of {p.n} qubits exceeds the cap of {max_qubits}")
+    idx, flip, amp = _signed_permutation(p)
+    mat = np.zeros((idx.size, idx.size), dtype=complex)
+    mat[idx ^ flip, idx] = amp
+    return mat
+
+
+def apply_pauli(p: PauliString, vec: np.ndarray) -> np.ndarray:
+    """Apply ``p`` to a state vector by the signed permutation of ``to_dense``,
+    without forming the dense matrix."""
+    dim = 1 << p.n
+    if vec.shape != (dim,):
+        raise ValueError(f"state dimension {vec.shape} does not match 2^{p.n}")
+    idx, flip, amp = _signed_permutation(p)
     out = np.zeros(dim, dtype=complex)
     out[idx ^ flip] = amp * vec
     return out

@@ -27,10 +27,9 @@ SWEEP_COLUMNS = ("index", "status") + metrics.CSV_COLUMNS
 
 @dataclass
 class BuiltModel:
-    """All concrete objects one experiment needs."""
+    """The system side of one experiment; ``execute_experiment`` builds the bath."""
 
     spec: model.AdiabaticSpec
-    bath: model.SystemBathSpec
     schedule: protocols.PulseSchedule
     scaling_rule: protocols.ScalingRule | None
 
@@ -72,7 +71,7 @@ def _logical_terms(cfg: ExperimentConfig, k: int):
 
 
 def build_model(cfg: ExperimentConfig) -> BuiltModel:
-    """Construct every object an experiment run needs from its config."""
+    """Construct the system side of an experiment (no bath) from its config."""
     m, p, r = cfg.model, cfg.protocol, cfg.run
     n = m.n
     group = _group_for(p.group, n)
@@ -123,22 +122,23 @@ def build_model(cfg: ExperimentConfig) -> BuiltModel:
         penalty=codes.penalty_hamiltonian(group, m.e_p) if m.e_p > 0 else None,
         penalty_during_pulse=m.penalty_during_pulse,
     )
-    bath = model.linear_decoherence(n, m.n_b, m.j, m.seed, beta_b=m.beta_b)
-    return BuiltModel(spec=spec, bath=bath, schedule=schedule, scaling_rule=scaling_rule)
+    return BuiltModel(spec=spec, schedule=schedule, scaling_rule=scaling_rule)
 
 
 def execute_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run the coupled/uncoupled/closed triple and assemble the error report."""
+    """Build the model and its bath, run the coupled/uncoupled/closed triple
+    and assemble the error report."""
     built = build_model(cfg)
     m, r = cfg.model, cfg.run
+    bath = model.linear_decoherence(m.n, m.n_b, m.j, m.seed, beta_b=m.beta_b)
     icfg = engine.IntegratorConfig(tol=r.tolerance)
     coupled, uncoupled = engine.run_protected(
-        built.spec, built.bath, built.schedule, bath_state=r.bath_state, cfg=icfg,
+        built.spec, bath, built.schedule, bath_state=r.bath_state, cfg=icfg,
     )
     closed = engine.run_closed_adiabatic(built.spec, cfg=icfg)
     target = engine.instantaneous_ground_state(built.spec, 1.0)
     ideal_system = np.outer(target, target.conj())
-    beta = model.beta_system_bath(built.spec, built.bath.h_b)
+    beta = model.beta_system_bath(built.spec, bath.h_b)
     budget = metrics.phi_budget(
         j_coupling=m.j,
         total_time=built.schedule.total_time,
@@ -243,7 +243,11 @@ def run_sweep(
 
 def write_gap_csv(cfg: ExperimentConfig, out_dir: str | None = None,
                   grid_points: int = 101) -> str:
-    """Spectral sweep of the configured model: columns s, E0, E1, ..., gap."""
+    """Spectral sweep of the configured model: columns s, E0, E1, ..., gap.
+
+    Builds no bath and propagates nothing, so neither the seed nor the
+    integrator tolerance can change its output.
+    """
     built = build_model(cfg)
     report = model.min_gap(built.spec, grid_points=grid_points)
     directory = resolve_out_dir(cfg, out_dir)

@@ -282,12 +282,14 @@ def check_beta_inequality() -> float:
     cfg = ExperimentConfig()
     cfg.protocol.tau = 0.1
     cfg.protocol.cycles = 1
+    m = cfg.model
     built = runner.build_model(cfg)
-    beta = model.beta_system_bath(built.spec, built.bath.h_b)
+    bath = model.linear_decoherence(m.n, m.n_b, m.j, m.seed, beta_b=m.beta_b)
+    beta = model.beta_system_bath(built.spec, bath.h_b)
     beta_s = max(
         linalg.op_norm(model.h_ad(built.spec, s)) for s in np.linspace(0, 1, 21)
     )
-    beta_b = linalg.op_norm(built.bath.h_b)
+    beta_b = linalg.op_norm(bath.h_b)
     return beta_s + beta_b + 1e-12 - beta
 
 

@@ -1,3 +1,6 @@
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -99,6 +102,20 @@ class TestDense:
         expected = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2))
         assert np.array_equal(xi, expected.astype(complex))
         assert xi.shape == (4, 4)
+
+    def test_equals_kron_chain_on_every_short_string(self):
+        single = {
+            "I": np.eye(2, dtype=complex),
+            "X": np.array([[0, 1], [1, 0]], dtype=complex),
+            "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+            "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+        }
+        for n in (1, 2, 3):
+            for letters in itertools.product("IXYZ", repeat=n):
+                kron = reduce(np.kron, (single[c] for c in letters))
+                for phase in (1, 1j, -1, -1j):
+                    p = PauliString(phase, "".join(letters))
+                    assert np.array_equal(to_dense(p), phase * kron), str(p)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from aqc_shield import cli, codes, runner, verify
+from aqc_shield import cli, codes, model, runner, verify
 from aqc_shield.config import ExperimentConfig, SweepSpec, loads_config
 
 QUICK = """
@@ -43,6 +43,25 @@ tolerance = 1e-8
 out_dir = {out}
 """
 
+# The n = 8 encoded model of the benchmark's spectral sweep.
+ENCODED_N8 = """
+[model]
+n = 8
+n_b = 1
+code = true
+preset = universal-2local
+j = 0.1
+
+[protocol]
+group = universal
+tau = 0.25
+w = 0
+total_time = 8
+
+[output]
+out_dir = {out}
+"""
+
 
 def quick_cfg(out_dir, **overrides) -> ExperimentConfig:
     cfg = loads_config(QUICK.format(out=out_dir))
@@ -72,6 +91,18 @@ class TestExecute:
         dilated_cfg.run.r = 2
         dilated = runner.build_model(dilated_cfg)
         assert dilated.schedule.cycles == 2 * base.schedule.cycles
+
+    def test_encoded_build_validates_code_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = codes._validate_code
+
+        def counted(code):
+            calls.append(code.n)
+            return original(code)
+
+        monkeypatch.setattr(codes, "_validate_code", counted)
+        runner.build_model(loads_config(ENCODED_N8.format(out=tmp_path)))
+        assert calls == [8]
 
     def test_scaling_rule_protocol(self, tmp_path):
         cfg = quick_cfg(tmp_path)
@@ -223,6 +254,24 @@ class TestCli:
         path.write_text(QUICK.format(out=tmp_path / "out"))
         assert cli.main(["gap", str(path), "--grid-points", "11"]) == 0
         assert (tmp_path / "out" / "run_gap.csv").exists()
+
+    def test_gap_builds_no_bath(self, tmp_path, monkeypatch):
+        def no_bath(*args, **kwargs):
+            raise AssertionError("the gap command built a bath")
+
+        monkeypatch.setattr(model, "linear_decoherence", no_bath)
+        path = tmp_path / "gap.cfg"
+        path.write_text(ENCODED_N8.format(out=tmp_path / "out"))
+        assert cli.main(["gap", str(path), "--grid-points", "11"]) == 0
+        lines = (tmp_path / "out" / "run_gap.csv").read_text().strip().split("\n")
+        assert len(lines) == 12
+
+    @pytest.mark.parametrize("option", ["--seed", "--tolerance"])
+    def test_gap_rejects_options_that_cannot_change_it(self, tmp_path, option):
+        path = tmp_path / "exp.cfg"
+        path.write_text(QUICK.format(out=tmp_path / "out"))
+        with pytest.raises(SystemExit):
+            cli.main(["gap", str(path), option, "1"])
 
     def test_seed_override_changes_output(self, tmp_path):
         path = tmp_path / "exp.cfg"
