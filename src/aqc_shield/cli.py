@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from . import codes, runner, verify
-from .config import ConfigError, load_config, load_sweep
+from .config import ConfigError, load_config, load_sweep, validate_config
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -59,6 +59,7 @@ def _apply_overrides(cfg, args):
         cfg.model.seed = args.seed
     if args.tolerance is not None:
         cfg.run.tolerance = args.tolerance
+    validate_config(cfg)
     return cfg
 
 

@@ -15,7 +15,7 @@ import io
 from dataclasses import dataclass, field, fields, replace
 from typing import get_args, get_type_hints
 
-from .engine import BATH_STATES
+from .engine import BATH_STATES, MAX_TOLERANCE
 from .model import SCHEDULE_KINDS
 from .pauli import PauliString
 
@@ -313,6 +313,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("run.r must be an integer >= 1")
     if r.tolerance <= 0:
         raise ConfigError("run.tolerance must be positive")
+    if r.tolerance > MAX_TOLERANCE:
+        raise ConfigError(
+            f"run.tolerance must be at most {MAX_TOLERANCE:g}: above it the "
+            "integrator's error estimate can undershoot the true error"
+        )
     if r.bath_state not in BATH_STATES:
         raise ConfigError(f"run.bath_state must be one of {BATH_STATES}")
     if m.h0 is not None:

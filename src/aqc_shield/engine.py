@@ -4,12 +4,13 @@ Every generator here is piecewise affine, H(t) = P_k + f(t) Q: Q = H1 - H0
 is shared, f is the interpolation schedule, and the piece P_k holds H0 with
 the penalty, bath and coupling terms and, inside a finite pulse window, that
 window's pulse generator.  The integrator takes Hermitian-exponential steps
-of a sixth-order, three-sample Magnus rule, so every propagator is unitary
-to roundoff.  For an affine generator the rule and its embedded
-fourth-order twin are real combinations of ten commutators formed once per
-piece, so a trial step costs one linear combination and one product.  The
-gap between the two exponents drives a per-step size controller against a
-tolerance in the operator norm, the norm the trace-distance bounds use
+of a sixth-order Magnus exponent, so every propagator is unitary to
+roundoff.  For an affine generator that exponent and its embedded
+eighth-order companion are real combinations of 23 nested commutators
+formed once per piece, so a trial step costs one linear combination and one
+product.  Their difference estimates the sixth-order step's local error and
+drives a per-step size controller against a tolerance in the operator norm,
+the norm the trace-distance bounds use
 (||U rho U^dag - V rho V^dag||_1 <= 2 ||U - V||).  Steps never cross a
 pulse edge: the schedule supplies breakpoints, and in the ideal-pulse limit
 w = 0 the pulses are applied as exact unitary kicks between free segments
@@ -49,8 +50,39 @@ from .linalg import (
 from .model import AdiabaticSpec, SystemBathSpec, dense_terms  # noqa: F401
 from .protocols import PulseSchedule, pulse_generator, slot_index
 
-# Gauss-Legendre nodes of one step: 1/2 - r, 1/2 and 1/2 + r.
-_GAUSS_R = math.sqrt(15) / 10
+# The four Gauss-Legendre nodes of one step, as offsets s in [-1/2, 1/2]
+# from its midpoint, and the matrix taking f at the nodes to the monomial
+# coefficients g0..g3 of the cubic through them (the inverse Vandermonde
+# matrix; literals from tools/derive_magnus86.py, so no solve at import).
+_GAUSS_NODES = tuple(
+    sign * 0.5 * math.sqrt(3 / 7 + root * (2 / 7) * math.sqrt(6 / 5))
+    for sign, root in ((-1, 1), (-1, -1), (1, -1), (1, 1))
+)
+_NODE_TO_CUBIC = (
+    (-0.09232659844072882, 0.5923265984407288, 0.5923265984407288, -0.09232659844072882),
+    (0.2144296952704798, -3.4844683820901876, 3.4844683820901876, -0.2144296952704798),
+    (3.195048252113469, -3.195048252113469, -3.195048252113469, 3.195048252113469),
+    (-7.420540068038946, 18.79544940755506, -18.79544940755506, 7.420540068038946),
+)
+# Lyndon words in X < Y of the 8(6) pair, each after X and Y with the stack
+# indices (u, v) of its standard bracketing [u, v].
+_COMMUTATOR_WORDS = (
+    ("XY", 0, 1), ("XXY", 0, 2), ("XYY", 2, 1),
+    ("XXXY", 0, 3), ("XXYY", 0, 4), ("XYYY", 4, 1),
+    ("XXXXY", 0, 5), ("XXXYY", 0, 6), ("XXYXY", 3, 2),
+    ("XXYYY", 0, 7), ("XYXYY", 2, 4), ("XYYYY", 7, 1),
+    ("XXXXXY", 0, 8), ("XXXXYY", 0, 9), ("XXXYXY", 0, 10),
+    ("XXXYYY", 0, 11), ("XXYXYY", 0, 12), ("XXYYXY", 6, 2),
+    ("XXYYYY", 0, 13), ("XYXYYY", 2, 7), ("XYYYYY", 13, 1),
+)
+# the word length of each stack entry: its coefficient carries dt^length
+_WORD_LENGTHS = np.array([1, 1, *(len(w) for w, _, _ in _COMMUTATOR_WORDS)])
+
+# The largest accepted tolerance.  Above it the summed error estimate can
+# fall below the true propagator error: over 60 random affine runs over
+# T = 2 (d = 2, 4 or 8, f = sin(omega t), omega <= 20) it did in 3 runs at
+# tol 1e-2 and in 1 at 3e-3 (by 25x), and in none at 1e-3 or 1e-4.
+MAX_TOLERANCE = 1e-3
 
 BATH_STATES = ("maximally-mixed", "ground")
 
@@ -71,7 +103,8 @@ class IntegratorConfig:
     distributed over steps proportionally to their length: a step of
     length dt is accepted once its error value is within tol * dt / T.
     ``max_steps`` caps the trial steps of one propagation, accepted and
-    rejected together.
+    rejected together.  ``tol`` above :data:`MAX_TOLERANCE` is refused,
+    since the error estimate is not trustworthy there.
     """
 
     tol: float = 1e-10
@@ -80,6 +113,11 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if self.tol > MAX_TOLERANCE:
+            raise ValueError(
+                f"tolerance {self.tol:g} exceeds {MAX_TOLERANCE:g}, above which the "
+                "integrator's error estimate can undershoot the true error"
+            )
 
 
 @dataclass(frozen=True)
@@ -116,6 +154,8 @@ class RunArtifacts:
     ``diagnostics`` holds the statistics of :func:`propagate_with_stats`
     (``steps``, ``rejected``, ``segments``, ``floored``, ``error_estimate``)
     plus ``total_time`` and ``coupled``; the report files do not read it.
+    ``error_estimate`` is the summed estimate of the sixth-order steps'
+    local errors in the operator norm, an estimate of ||U - U_exact||.
     """
 
     u_total: np.ndarray
@@ -152,14 +192,18 @@ def propagate_with_stats(
     coinciding times.  The generator is read through its fields only.
 
     Each trial step forms the sixth-order Magnus exponent Omega6 and its
-    embedded fourth-order twin Omega4 of the three-sample Gauss rule.  With
-    H(t) = P + f(t) Q both are real combinations of ten commutators of
-    X = -iP and Y = -iQ, formed once per piece (:func:`_commutator_stack`),
-    so a trial costs one linear combination and one product.  A trial of
-    length dt is accepted when err >= ||Omega6 - Omega4||_2 is within
-    tol * dt / T (at least 64 eps) and then costs one exponential; the next
-    step size follows err ~ dt^5 against that share.  The step size is
-    carried across segments and clipped to each breakpoint or kick edge.
+    embedded eighth-order companion Omega8 on the four Gauss-Legendre nodes
+    (:func:`_magnus86_trial`).  With H(t) = P + f(t) Q both are real
+    combinations of 23 commutators of X = -iP and Y = -iQ, formed once per
+    piece (:func:`_commutator_stack`), so a trial costs one linear
+    combination and one product.  Omega6 is propagated; err >=
+    ||Omega8 - Omega6||_2, of order dt^7, estimates its local error in the
+    operator norm, since ||e^A - e^B|| <= ||A - B|| for anti-Hermitian A and
+    B and Omega8 is two orders closer to the exact exponent.  A trial of
+    length dt is accepted when err is within tol * dt / T (at least 64 eps)
+    and then costs one exponential; the next step size follows err ~ dt^7
+    against that share ~ dt, the exponent 1/6.  The step size is carried
+    across segments and clipped to each breakpoint or kick edge.
 
     ``steps`` counts the exponentials taken, one per accepted step, and
     ``rejected`` the trials retried at a smaller size, which take no
@@ -167,10 +211,8 @@ def propagate_with_stats(
     counts the integrated segments.  ``floored`` counts the accepted steps
     whose share tol * dt / T fell below the 64-eps floor and was raised to
     it.  ``error_estimate`` sums err over the accepted steps, so it is at
-    most ``cfg.tol`` when ``floored`` is 0.  Since ||e^A - e^B|| <= ||A - B||
-    for anti-Hermitian A and B, err bounds the error of the embedded
-    fourth-order step; for the sixth-order result actually propagated it
-    is a conservative estimate.
+    most ``cfg.tol`` when ``floored`` is 0; it estimates the propagator's
+    operator-norm error, and it is not a strict bound.
     """
     cfg = cfg or IntegratorConfig()
     if total_time < 0:
@@ -205,11 +247,12 @@ def propagate_with_stats(
                     f"{cfg.max_steps} trial steps to reach tolerance {cfg.tol:.2e}"
                 )
             step = min(dt, b - t)
-            k, err = _magnus6_trial(stacks[piece], h_of_t.f, t, step)
+            omega6, tail = _magnus86_trial(stacks[piece], h_of_t.f, t, step)
+            err = _hermitian_norm_bound(1j * tail)
             share = cfg.tol * step / total_time
             allowed = max(share, floor)
             if err <= allowed:
-                u = expm_hermitian(k, 1.0, tol=1e-9) @ u
+                u = expm_hermitian(1j * omega6, 1.0, tol=1e-9) @ u
                 stats["steps"] += 1
                 if share < floor:
                     stats["floored"] += 1
@@ -217,7 +260,7 @@ def propagate_with_stats(
                 t = b if step == b - t else t + step
             else:
                 stats["rejected"] += 1
-            factor = 0.9 * (allowed / err) ** 0.25 if err > 0 else 5.0
+            factor = 0.9 * (allowed / err) ** (1 / 6) if err > 0 else 5.0
             dt = step * min(5.0, max(0.2, factor))
         if t > a:
             stats["segments"] += 1
@@ -227,54 +270,70 @@ def propagate_with_stats(
 
 
 def _commutator_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """[X, Y, Z, [X,Z], [Y,Z], [X,[X,Z]], [X,[Y,Z]], [Y,[Y,Z]], [Z,[X,Z]],
-    [Z,[Y,Z]]] for X = -iP, Y = -iQ and Z = [X,Y]: eight products.
+    """X, Y and the 21 commutators of :data:`_COMMUTATOR_WORDS` for X = -iP
+    and Y = -iQ, in one (23, d, d) array: 21 products, written in place.
 
-    These span every commutator the three-sample rule forms from
-    A(t) = X + f(t) Y; [Y,[X,Z]] = [X,[Y,Z]] by the Jacobi identity.
+    These are the Lyndon-basis commutators of degree <= 6 that the 8(6)
+    pair reads from A(t) = X + f(t) Y.
     """
-    x, y = -1j * p, -1j * q
-    z = _commutator(x, y)
-    xz, yz = _commutator(x, z), _commutator(y, z)
-    return np.stack([x, y, z, xz, yz, _commutator(x, xz), _commutator(x, yz),
-                     _commutator(y, yz), _commutator(z, xz), _commutator(z, yz)])
+    d = q.shape[0]
+    stack = np.empty((2 + len(_COMMUTATOR_WORDS), d, d), dtype=complex)
+    np.multiply(p, -1j, out=stack[0])
+    np.multiply(q, -1j, out=stack[1])
+    for row, (_, u, v) in enumerate(_COMMUTATOR_WORDS, start=2):
+        # [a, b] for anti-Hermitian a and b, where ba = (ab)^dag: one product
+        ab = stack[u] @ stack[v]
+        np.subtract(ab, ab.conj().T, out=stack[row])
+    return stack
 
 
-def _magnus6_trial(stack, f, t0, dt) -> tuple[np.ndarray, float]:
-    """One sixth-order Magnus trial over [t0, t0 + dt] and its error value.
+def _magnus86_trial(stack, f, t0, dt) -> tuple[np.ndarray, np.ndarray]:
+    """One Magnus trial over [t0, t0 + dt]: (Omega6, Omega8 - Omega6).
 
-    Uses the three-sample Gauss rule of Blanes, Casas & Ros (BIT 40, 434
-    (2000)) with A = -iH = X + f(t) Y, ``stack`` from
-    :func:`_commutator_stack`.  Returns (k, err): the step is exp(-i k) for
-    the Hermitian k = i Omega6, and err >= ||Omega6 - Omega4||_2 for the
-    embedded fourth-order exponent Omega4.
+    The Gauss-Legendre Magnus pair of Blanes, Casas & Ros (BIT 40, 434
+    (2000)) for A = -iH = X + f(t) Y, ``stack`` from
+    :func:`_commutator_stack`.  With g0..g3 the monomial coefficients of
+    the cubic through f at the four nodes (s in [-1/2, 1/2] around the
+    midpoint), Omega6 (order <= 5) and Omega8 - Omega6 (order 7) are fixed
+    polynomials in g0..g3 times dt^length on each Lyndon word; the even
+    orders vanish.  ``tools/derive_magnus86.py`` derives every coefficient
+    below.
     """
-    f1, f2, f3 = (f(t0 + c * dt) for c in (0.5 - _GAUSS_R, 0.5, 0.5 + _GAUSS_R))
-    # alpha1 = p X + q Y, alpha2 = b Y, alpha3 = c Y; c1 = [alpha1, alpha2]
-    # = pb Z; c2 = [alpha1, 2 alpha3 + c1] / -60 = rz Z + rxz [X,Z] + ryz [Y,Z];
-    # tail = [L, R] / 240 with L = -20 alpha1 - alpha3 + c1 and R = alpha2 + c2.
-    p, q = dt, dt * f2
-    b = (math.sqrt(15) * dt / 3) * (f3 - f1)
-    c = (10 * dt / 3) * (f3 - 2 * f2 + f1)
-    lx, ly, lz = -20 * p, -20 * q - c, p * b
-    rz, rxz, ryz = -c * p / 30, -p * p * b / 60, -p * q * b / 60
-    tail = np.array([0.0, 0.0, lx * b, lx * rz, ly * rz - lz * b, lx * rxz,
-                     lx * ryz + ly * rxz, ly * ryz, lz * rxz, lz * ryz]) / 240
-    # Omega6 = alpha1 + alpha3/12 + tail and Omega6 - Omega4 = tail + c1/12
-    rows = np.stack([tail, tail])
-    rows[0, :2] += (p, q + c / 12)
-    rows[1, 2] += p * b / 12
+    fs = [f(t0 + (0.5 + s) * dt) for s in _GAUSS_NODES]
+    g0, g1, g2, g3 = (sum(m * v for m, v in zip(row, fs)) for row in _NODE_TO_CUBIC)
+    g00, g11 = g0 * g0, g1 * g1
+    rows = np.zeros((2, len(stack)))
+    # Omega6 on X, Y, XY, XXY, XYY, XXXY, XXYY, XYYY
+    rows[0, :8] = (1.0, g0 + g2 / 12, -g1 / 12 - g3 / 80, g2 / 360,
+                   g11 / 240 - g0 * g2 / 360, g1 / 720, -g0 * g1 / 360, g00 * g1 / 720)
+    # Omega8 - Omega6 on XYY .. XYYYYY
+    rows[1, 4:] = (
+        g1 * g3 / 840 - g2 * g2 / 6048,
+        g3 / 6720,
+        -g0 * g3 / 3360 - 13 * g1 * g2 / 30240,
+        g00 * g3 / 6720 + 13 * g0 * g1 * g2 / 30240 - g11 * g1 / 6720,
+        -g2 / 15120,
+        g0 * g2 / 5040 - g11 / 10080,
+        g11 / 7560 - g0 * g2 / 15120,
+        g0 * g11 / 5040 - g00 * g2 / 5040,
+        g0 * g11 / 4320 - g00 * g2 / 7560,
+        g00 * g0 * g2 / 15120 - g00 * g11 / 10080,
+        -g1 / 30240,
+        g0 * g1 / 7560,
+        -g0 * g1 / 10080,
+        -g00 * g1 / 5040,
+        -g00 * g1 / 7560,
+        g00 * g1 / 6048,
+        g00 * g0 * g1 / 7560,
+        g00 * g0 * g1 / 6048,
+        -g00 * g00 * g1 / 30240,
+    )
+    rows *= dt ** _WORD_LENGTHS
     # real rows act on the real and imaginary parts alike: one real product
     d = stack.shape[-1]
     combined = rows @ stack.reshape(len(stack), -1).view(float)
-    omega6, gap = combined.view(complex).reshape(2, d, d)
-    return 1j * omega6, _hermitian_norm_bound(1j * gap)
-
-
-def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[a, b] for anti-Hermitian a and b, where ba = (ab)^dag: one product."""
-    ab = a @ b
-    return ab - ab.conj().T
+    omega6, tail = combined.view(complex).reshape(2, d, d)
+    return omega6, tail
 
 
 def _hermitian_norm_bound(x: np.ndarray) -> float:

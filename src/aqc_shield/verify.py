@@ -105,43 +105,36 @@ def check_expm_eigen_reference() -> float:
     return 1e-12 - worst
 
 
-def _sampled_magnus6(samples, dt):
-    """(k, err) of the three-sample sixth-order Magnus rule and its embedded
-    fourth-order twin, formed from the dense samples H(t0 + c dt) at the
-    Gauss nodes c = 1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10."""
-    a1, a2, a3 = (-1j * h for h in samples)
-    alpha1 = dt * a2
-    alpha2 = (math.sqrt(15) * dt / 3) * (a3 - a1)
-    alpha3 = (10 * dt / 3) * (a3 - 2 * a2 + a1)
-    c1 = engine._commutator(alpha1, alpha2)
-    c2 = engine._commutator(alpha1, 2 * alpha3 + c1) / -60
-    tail = engine._commutator(-20 * alpha1 - alpha3 + c1, alpha2 + c2) / 240
-    # Omega6 = alpha1 + alpha3/12 + tail and Omega4 = alpha1 + alpha3/12 - c1/12
-    omega6 = alpha1 + alpha3 / 12 + tail
-    return 1j * omega6, engine._hermitian_norm_bound(1j * (tail + c1 / 12))
-
-
-def check_affine_magnus_reference() -> float:
-    # The engine's trial on the commutator stack of H(t) = P + f(t) Q against
-    # the rule evaluated on dense samples, for every schedule f over T = 2 and
-    # for sin(3t); P and Q have unit largest column sum.
-    rng = np.random.default_rng(47)
-    total = 2.0
-    fs = [lambda t, k=kind: model.schedule_eval(k, min(max(t / total, 0.0), 1.0))[0]
-          for kind in model.SCHEDULE_KINDS]
-    fs.append(lambda t: math.sin(3 * t))
-    nodes = (0.5 - engine._GAUSS_R, 0.5, 0.5 + engine._GAUSS_R)
-    worst = 0.0
-    for d in (2, 16, 64):
-        p, q = (h / float(np.abs(h).sum(axis=0).max())
+def check_magnus86_orders() -> float:
+    # The engine's 8(6) pair on H(t) = P + f(t) Q against the logarithm of a
+    # tol = 1e-15 step propagator, for sin(3t) and the cubic schedule over
+    # T = 2; P and Q have largest column sum 3.  Each halving of dt must
+    # divide the Omega6 error by >= 2^6.5 and the Omega8 error by >= 2^8.5,
+    # and at the smaller dt err must lie within [0.9, 2] times the true
+    # error of the propagated step exp(Omega6).
+    rng = np.random.default_rng(0)
+    fs = (lambda t: math.sin(3 * t),
+          lambda t: model.schedule_eval("polynomial-smooth", t / 2.0)[0])
+    t0, slack = 0.3, math.inf
+    for d in (2, 8):
+        p, q = (3 * h / float(np.abs(h).sum(axis=0).max())
                 for h in (_random_hermitian(rng, d), _random_hermitian(rng, d)))
         stack = engine._commutator_stack(p, q)
         for f in fs:
-            for t0, dt in ((0.0, 0.5), (0.3, 0.1), (1.7, 0.3), (1.2, 0.01)):
-                k, err = engine._magnus6_trial(stack, f, t0, dt)
-                k_ref, err_ref = _sampled_magnus6([p + f(t0 + c * dt) * q for c in nodes], dt)
-                worst = max(worst, float(np.max(np.abs(k - k_ref))), abs(err - err_ref))
-    return 1e-12 - worst
+            shifted = engine.AffineGenerator((p,), q, lambda t, f=f: f(t0 + t))
+            e6, e8 = [], []
+            for dt in (0.2, 0.1):
+                u_ref, _ = engine.propagate_with_stats(
+                    shifted, dt, engine.IntegratorConfig(tol=1e-15))
+                h_ref = linalg.logm_unitary(u_ref)
+                omega6, tail = engine._magnus86_trial(stack, f, t0, dt)
+                e6.append(linalg.op_norm(1j * omega6 - h_ref))
+                e8.append(linalg.op_norm(1j * (omega6 + tail) - h_ref))
+            err = engine._hermitian_norm_bound(1j * tail)
+            ratio = err / linalg.op_norm(linalg.expm_hermitian(1j * omega6, 1.0) - u_ref)
+            slack = min(slack, math.log2(e6[0] / e6[1]) - 6.5,
+                        math.log2(e8[0] / e8[1]) - 8.5, ratio - 0.9, 2.0 - ratio)
+    return slack
 
 
 def _random_hermitian(rng, d):
@@ -475,7 +468,7 @@ ALL_CHECKS = [
     ("pauli.commute_dense_agreement", check_pauli_commute_agreement),
     ("pauli.expm_logm_roundtrip", check_expm_logm_roundtrip),
     ("linalg.expm_eigen_reference", check_expm_eigen_reference),
-    ("engine.affine_magnus_reference", check_affine_magnus_reference),
+    ("engine.magnus86_orders", check_magnus86_orders),
     ("pauli.commutator_norm_inequality", check_commutator_norm_inequality),
     ("codes.group_average_idempotent", check_group_average_idempotent),
     ("codes.group_average_commutes", check_group_average_commutes),

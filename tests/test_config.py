@@ -137,6 +137,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="bath_state"):
             loads_config(MINIMAL + "\n[run]\nbath_state = warm\n")
 
+    def test_tolerance_above_trusted_range_rejected(self):
+        assert loads_config(MINIMAL + "\n[run]\ntolerance = 1e-3\n").run.tolerance == 1e-3
+        with pytest.raises(ConfigError, match="at most 0.001: above it the integrator"):
+            loads_config(MINIMAL + "\n[run]\ntolerance = 2e-3\n")
+
 
 class TestTermLists:
     def test_good_terms(self):

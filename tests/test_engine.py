@@ -183,20 +183,37 @@ class TestMagnus6:
 
     def test_single_step_orders(self, rng):
         # local error O(dt^7) for the sixth-order step, and the embedded
-        # pair's gap ||Omega6 - Omega4|| = O(dt^5)
+        # pair's gap ||Omega8 - Omega6|| = O(dt^7) bounding it from above
         a = random_hermitian(rng, 8)
         b = random_hermitian(rng, 8)
         stack = engine._commutator_stack(a, b)
         t0 = 0.3
         errors, gaps = [], []
         for dt in (0.1, 0.05):
-            k, gap = engine._magnus6_trial(stack, sin3, t0, dt)
+            omega6, tail = engine._magnus86_trial(stack, sin3, t0, dt)
             shifted = affine(a, b, lambda t: sin3(t0 + t))
             ref, _ = propagate_with_stats(shifted, dt, IntegratorConfig(tol=1e-13))
-            errors.append(op_norm(expm_hermitian(k, 1.0) - ref))
-            gaps.append(gap)
+            errors.append(op_norm(expm_hermitian(1j * omega6, 1.0) - ref))
+            gaps.append(engine._hermitian_norm_bound(1j * tail))
+            assert gaps[-1] >= errors[-1]
         assert errors[0] / errors[1] >= 2 ** 6.5
-        assert gaps[0] / gaps[1] >= 2 ** 4.5
+        assert gaps[0] / gaps[1] >= 2 ** 6.5
+
+    def test_literal_tables(self):
+        # the node matrix inverts the Vandermonde matrix of the nodes, and
+        # each stack word is the concatenation of its bracket's factors
+        vander = np.array([[s**j for j in range(4)] for s in engine._GAUSS_NODES])
+        assert np.allclose(np.array(engine._NODE_TO_CUBIC) @ vander, np.eye(4), atol=1e-14)
+        words = ["X", "Y"]
+        for word, u, v in engine._COMMUTATOR_WORDS:
+            assert word == words[u] + words[v]
+            words.append(word)
+        assert list(engine._WORD_LENGTHS) == [len(w) for w in words]
+
+    def test_tolerance_above_trusted_range_refused(self):
+        assert IntegratorConfig(tol=engine.MAX_TOLERANCE).tol == 1e-3
+        with pytest.raises(ValueError, match="exceeds 0.001, above which"):
+            IntegratorConfig(tol=2e-3)
 
     def test_one_exponential_per_accepted_step(self, rng, monkeypatch):
         a = random_hermitian(rng, 16)
@@ -375,6 +392,26 @@ class TestRunProtected:
         for art in (coupled, uncoupled):
             assert 0.0 < art.diagnostics["error_estimate"] <= tol
             assert art.diagnostics["floored"] == 0
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    @pytest.mark.parametrize("total_time, w", [(2.0, 0.0), (2.4, 0.05)])
+    def test_error_estimate_tracks_true_error(self, total_time, w, tol):
+        # the summed estimate of each propagation against its true
+        # operator-norm error, measured on a tol = 1e-12 run: never below
+        # it, and at most 50 times above
+        def runs(t):
+            spec, bath, schedule, coupled, twin = quick_protected(
+                j=0.1, total_time=total_time, w=w, tol=t)
+            h_sys = engine._timed_hamiltonian(spec, schedule, False)
+            bp = schedule_breakpoints(schedule) if len(h_sys.pieces) > 1 else ()
+            frame = propagate_with_stats(h_sys, schedule.total_time,
+                                         IntegratorConfig(tol=t), breakpoints=bp)
+            return [(coupled.u_total, coupled.diagnostics), (twin.u_total, twin.diagnostics),
+                    frame]
+
+        for (u, stats), (u_ref, _) in zip(runs(tol), runs(1e-12)):
+            ratio = stats["error_estimate"] / op_norm(u - u_ref)
+            assert 1.0 <= ratio <= 50.0
 
     @pytest.mark.parametrize("n_b, w, gated_penalty", [(2, 0.0, False), (1, 0.05, True)])
     def test_factorized_twin_matches_joint_propagation(self, n_b, w, gated_penalty):

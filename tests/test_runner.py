@@ -232,6 +232,13 @@ class TestCli:
         path.write_text("[model]\nn = 4\n[protocol]\ntau = 0.5\n")  # no cycles
         assert cli.main(["simulate", str(path)]) == 1
 
+    def test_tolerance_override_validated(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(QUICK.format(out=tmp_path / "out"))
+        assert cli.main(["simulate", str(path), "--tolerance", "0.01"]) == 1
+        assert "configuration error: run.tolerance must be at most" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_deterministic_bytes(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(QUICK.format(out=tmp_path / "out"))
