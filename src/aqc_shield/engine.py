@@ -14,7 +14,9 @@ the norm the trace-distance bounds use
 (||U rho U^dag - V rho V^dag||_1 <= 2 ||U - V||).  Steps never cross a
 pulse edge: the schedule supplies breakpoints, and in the ideal-pulse limit
 w = 0 the pulses are applied as exact unitary kicks between free segments
-rather than as narrow windows.
+rather than as narrow windows.  Every kick is a Pauli string (x) I, a
+signed permutation, so it is applied as a row gather in O(d^2) rather than
+as a dense product.
 
 Three canonical runs share one integrator: the coupled run under the full
 Hamiltonian, the uncoupled twin with the system-bath term deleted but
@@ -189,7 +191,11 @@ def propagate_with_stats(
     each segment between edges takes the piece ``h_of_t.piece_at`` gives
     its midpoint.  ``kicks`` are (time, unitary) pairs applied
     instantaneously once evolution reaches that time, in list order for
-    coinciding times.  The generator is read through its fields only.
+    coinciding times.  Each kick must be monomial (one nonzero entry per row
+    and column, as a Pauli string is) and is applied as the row gather
+    ``phase[:, None] * u[perm]``, which equals ``kick @ u``; any other kick
+    raises ``ValueError`` before the first step.  The generator is read
+    through its fields only.
 
     Each trial step forms the sixth-order Magnus exponent Omega6 and its
     embedded eighth-order companion Omega8 on the four Gauss-Legendre nodes
@@ -222,18 +228,21 @@ def propagate_with_stats(
     u = np.eye(dim, dtype=complex)
     if total_time == 0:
         return u, stats
-    kicks_at: dict[float, list[np.ndarray]] = {}
+    gathers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    kicks_at: dict[float, list[tuple[np.ndarray, np.ndarray]]] = {}
     for kt, mat in kicks:
         if 0.0 <= kt <= total_time:
-            kicks_at.setdefault(kt, []).append(mat)
+            if id(mat) not in gathers:
+                gathers[id(mat)] = _monomial_gather(mat)
+            kicks_at.setdefault(kt, []).append(gathers[id(mat)])
     edges = {0.0, total_time, *kicks_at}
     edges.update(b for b in breakpoints if 0.0 < b < total_time)
     ordered = sorted(edges)
     floor = 64 * np.finfo(float).eps
     stacks: dict[int, np.ndarray] = {}
 
-    for mat in kicks_at.get(0.0, ()):
-        u = mat @ u
+    for perm, phase in kicks_at.get(0.0, ()):
+        u = phase[:, None] * u[perm]
     dt = ordered[1]
     for a, b in zip(ordered[:-1], ordered[1:]):
         piece = 0 if h_of_t.piece_at is None else h_of_t.piece_at(0.5 * (a + b))
@@ -248,7 +257,7 @@ def propagate_with_stats(
                 )
             step = min(dt, b - t)
             omega6, tail = _magnus86_trial(stacks[piece], h_of_t.f, t, step)
-            err = _hermitian_norm_bound(1j * tail)
+            err = _hermitian_norm_bound(tail)
             share = cfg.tol * step / total_time
             allowed = max(share, floor)
             if err <= allowed:
@@ -264,9 +273,19 @@ def propagate_with_stats(
             dt = step * min(5.0, max(0.2, factor))
         if t > a:
             stats["segments"] += 1
-        for mat in kicks_at.get(b, ()):
-            u = mat @ u
+        for perm, phase in kicks_at.get(b, ()):
+            u = phase[:, None] * u[perm]
     return u, stats
+
+
+def _monomial_gather(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, phase) with mat @ u == phase[:, None] * u[perm] for a monomial
+    ``mat``: row i holds its one nonzero entry phase[i] in column perm[i]."""
+    nonzero = mat != 0
+    if not (np.all(nonzero.sum(axis=1) == 1) and np.all(nonzero.sum(axis=0) == 1)):
+        raise ValueError("kick is not a monomial (signed-permutation) matrix")
+    perm = np.argmax(nonzero, axis=1)
+    return perm, mat[np.arange(len(perm)), perm]
 
 
 def _commutator_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -337,7 +356,8 @@ def _magnus86_trial(stack, f, t0, dt) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _hermitian_norm_bound(x: np.ndarray) -> float:
-    """sqrt(||x^2||_1), an upper bound on ||x||_2 for Hermitian x.
+    """sqrt(||x^2||_1), an upper bound on ||x||_2 for Hermitian or
+    anti-Hermitian x.
 
     ||x||_2^2 = ||x^2||_2 <= ||x^2||_1, the largest column sum.  It costs
     one product, and it is exactly invariant under a lift x -> x (x) I:

@@ -1,8 +1,9 @@
 """Dense complex-matrix kernel: norms, exponentials, logarithms, partial trace.
 
 Everything here works on plain ``numpy.ndarray`` values.  The Hermitian
-exponential is a truncated Taylor series evaluated with matrix products
-only, its truncation error held at unit roundoff in the operator norm.  The
+exponential is a truncated Taylor series of degree 3k evaluated with k + 1
+matrix products, its degree chosen from ||A^2||_1 so that the truncation
+error stays at unit roundoff in the operator norm.  The
 unitary logarithm goes through the unitary's eigenvectors, taken from a
 Hermitian Cayley transform with NumPy's eigensolvers, rather than a series
 expansion, which is exact to roundoff and makes the principal branch
@@ -17,15 +18,15 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 
-# Taylor degrees m = 2 (mod 3) and theta_m, the largest theta with
+# Taylor degrees m = 0 (mod 3) and theta_m, the largest theta with
 # sum_{j > m} theta^j / j! <= 2^-53.  The top entry is the degree that covers
 # the most norm per matrix product once scaling and squaring are counted.
 TAYLOR_THETA = (
-    (2, 8.733470225848718e-06),
-    (5, 6.562297383731718e-03),
-    (8, 6.993278480782539e-02),
-    (11, 2.472397540959144e-01),
-    (14, 5.534905156938532e-01),
+    (3, 2.2719587097728253e-04),
+    (6, 1.7764527083684662e-02),
+    (9, 1.1483174747739708e-01),
+    (12, 3.3521368782861477e-01),
+    (15, 6.827580747189479e-01),
 )
 _INV_FACTORIAL = tuple(1.0 / math.factorial(k) for k in range(TAYLOR_THETA[-1][0] + 1))
 
@@ -64,21 +65,24 @@ def require_unitary(u: np.ndarray, tol: float = DEFAULT_TOL, what: str = "operat
 def expm_hermitian(h: np.ndarray, t: float = 1.0, tol: float = DEFAULT_TOL) -> np.ndarray:
     """exp(-i t h) for Hermitian h by a truncated Taylor series.
 
-    With A = -i t h and theta = ||A||_1, the largest column sum (an upper
-    bound on ||A||_2 for Hermitian h), the degree m is the first
-    :data:`TAYLOR_THETA` entry with theta <= theta_m, so the omitted tail
-    sum_{j > m} A^j / j! is at most 2^-53 in the operator norm.  Above the
-    top entry A is first scaled by 2^-s and the result squared s times.
-    The polynomial is evaluated by Paterson & Stockmeyer's scheme (SIAM J.
-    Comput. 2, 60 (1973)) in blocks of three terms, Horner in A^3, so it
-    takes matrix products only: 2 + (m - 2) / 3 of them, plus s squarings.
-    The result is unitary to roundoff.  ``h`` is replaced by its Hermitian
-    part once it passes the ``tol`` check.
+    With A = -i t h, A^2 is formed first and theta = sqrt(||A^2||_1), the
+    square root of its largest column sum: an upper bound on ||A||_2, since
+    ||A||_2^2 = ||A^2||_2 for anti-Hermitian A, and never above ||A||_1.
+    The degree m is the first :data:`TAYLOR_THETA` entry with
+    theta <= theta_m, so the omitted tail sum_{j > m} A^j / j! is at most
+    2^-53 in the operator norm.  Above the top entry A is first scaled by
+    2^-s and the result squared s times.  The polynomial is evaluated by
+    Paterson & Stockmeyer's scheme (SIAM J. Comput. 2, 60 (1973)) in blocks
+    of three terms, Horner in A^3, with c_m A^3 folded into the top block, so
+    degree m = 3k takes k + 1 matrix products, plus s squarings.  The result
+    is unitary to roundoff.  ``h`` is replaced by its Hermitian part once it
+    passes the ``tol`` check.
     """
     require_hermitian(h, tol, "exponent")
     d = h.shape[0]
     a = (-0.5j * t) * (h + h.conj().T)
-    theta = float(np.abs(a).sum(axis=0).max())
+    a2 = a @ a
+    theta = math.sqrt(float(np.abs(a2).sum(axis=0).max()))
     if not math.isfinite(theta):
         raise ValueError(f"exponent has non-finite norm {theta}")
     squarings = 0
@@ -88,13 +92,13 @@ def expm_hermitian(h: np.ndarray, t: float = 1.0, tol: float = DEFAULT_TOL) -> n
     else:
         squarings = math.ceil(math.log2(theta / theta_m))
         a *= 2.0**-squarings
+        a2 *= 4.0**-squarings
     c = _INV_FACTORIAL
-    a2 = a @ a
-    a3 = a2 @ a if m > 2 else None
-    # p <- A^3 p + (c_k I + c_{k+1} A + c_{k+2} A^2) for k = m - 2, m - 5, ..., 0
-    p = np.zeros_like(a)
-    for k in range(m - 2, -1, -3):
-        if k < m - 2:
+    a3 = a2 @ a
+    # p <- A^3 p + (c_k I + c_{k+1} A + c_{k+2} A^2) for k = m - 3, m - 6, ..., 0
+    p = c[m] * a3
+    for k in range(m - 3, -1, -3):
+        if k < m - 3:
             p = a3 @ p
         p += c[k + 1] * a
         p += c[k + 2] * a2

@@ -10,6 +10,7 @@ delta0 = 1 unless stated otherwise.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -39,7 +40,15 @@ class Schedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}; choose from {SCHEDULE_KINDS}")
 
     def __call__(self, s: float) -> float:
-        return schedule_eval(self.kind, s)[0]
+        """f(s) alone, with ``math`` on floats; :func:`schedule_eval` also
+        gives the derivatives."""
+        if not 0.0 <= s <= 1.0:
+            raise ValueError(f"s = {s} outside [0, 1]")
+        if self.kind == "smooth-endpoint":
+            return s - math.sin(2 * math.pi * s) / (2 * math.pi)
+        if self.kind == "polynomial-smooth":
+            return s * s * (3 - 2 * s)
+        return s
 
 
 def schedule_eval(kind: str, s: float) -> tuple[float, float, float]:
@@ -109,7 +118,7 @@ class AdiabaticSpec:
     def interpolate(self, s: float, h0=None, h1=None) -> np.ndarray:
         """(1 - f(s)) H0 + f(s) H1, with ``h0``/``h1`` standing in for the
         dense pair when given (e.g. their lifts to a system (x) bath space)."""
-        f = schedule_eval(self.schedule.kind, s)[0]
+        f = self.schedule(s)
         return (1 - f) * (self.H0 if h0 is None else h0) + f * (self.H1 if h1 is None else h1)
 
 

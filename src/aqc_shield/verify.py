@@ -77,10 +77,10 @@ def check_expm_logm_roundtrip() -> float:
 
 
 def check_expm_eigen_reference() -> float:
-    # ||A||_1 = ||t h||_1 at 0, on both sides of every Taylor degree switch,
-    # at pi for pulse generators over their width t = w, and at >= 100,
-    # where the kernel scales and squares; the reference exponentiates the
-    # eigenvalues.
+    # sqrt(||A^2||_1) for A = t h, the norm the kernel picks its degree
+    # from, at 0, on both sides of every Taylor degree switch and at >= 100,
+    # where the kernel scales and squares; pulse generators over their width
+    # t = w have ||A||_2 = pi.  The reference exponentiates the eigenvalues.
     rng = np.random.default_rng(43)
     norms = [0.0, 100.0, 300.0]
     for _, theta_m in linalg.TAYLOR_THETA:
@@ -92,7 +92,7 @@ def check_expm_eigen_reference() -> float:
         for norm in norms:
             m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             h = (m + m.conj().T) / 2
-            cases.append((h * (norm / float(np.abs(h).sum(axis=0).max())), 1.0))
+            cases.append((h * (norm / engine._hermitian_norm_bound(h)), 1.0))
         if d > 1:
             letters = "".join(rng.choice(list("IXYZ")) for _ in range(d.bit_length() - 1))
             cases.append((protocols.pulse_generator(pauli.PauliString(-1, letters), w), w))
@@ -107,33 +107,37 @@ def check_expm_eigen_reference() -> float:
 
 def check_magnus86_orders() -> float:
     # The engine's 8(6) pair on H(t) = P + f(t) Q against the logarithm of a
-    # tol = 1e-15 step propagator, for sin(3t) and the cubic schedule over
-    # T = 2; P and Q have largest column sum 3.  Each halving of dt must
-    # divide the Omega6 error by >= 2^6.5 and the Omega8 error by >= 2^8.5,
-    # and at the smaller dt err must lie within [0.9, 2] times the true
-    # error of the propagated step exp(Omega6).
+    # tol = 1e-15 propagator clipped to 16 substeps, for sin(3t) and the
+    # cubic schedule over T = 2; P and Q have largest column sum 3.  Every
+    # step is centred on t = 0.4, so the local error constants stay put as
+    # dt shrinks four-fold from 0.4 to 0.1: the Omega6 error must fall by
+    # >= 2^13 and the Omega8 error by >= 2^17 (2^6.5 and 2^8.5 per halving),
+    # and at dt = 0.1 err must lie within [0.9, 2] times the true error of
+    # the propagated step exp(Omega6).
     rng = np.random.default_rng(0)
     fs = (lambda t: math.sin(3 * t),
           lambda t: model.schedule_eval("polynomial-smooth", t / 2.0)[0])
-    t0, slack = 0.3, math.inf
+    mid, slack = 0.4, math.inf
     for d in (2, 8):
         p, q = (3 * h / float(np.abs(h).sum(axis=0).max())
                 for h in (_random_hermitian(rng, d), _random_hermitian(rng, d)))
         stack = engine._commutator_stack(p, q)
         for f in fs:
-            shifted = engine.AffineGenerator((p,), q, lambda t, f=f: f(t0 + t))
             e6, e8 = [], []
-            for dt in (0.2, 0.1):
+            for dt in (0.4, 0.1):
+                t0 = mid - dt / 2
+                shifted = engine.AffineGenerator((p,), q, lambda t, f=f, t0=t0: f(t0 + t))
+                substeps = tuple(dt * k / 16 for k in range(1, 16))
                 u_ref, _ = engine.propagate_with_stats(
-                    shifted, dt, engine.IntegratorConfig(tol=1e-15))
+                    shifted, dt, engine.IntegratorConfig(tol=1e-15), substeps)
                 h_ref = linalg.logm_unitary(u_ref)
                 omega6, tail = engine._magnus86_trial(stack, f, t0, dt)
                 e6.append(linalg.op_norm(1j * omega6 - h_ref))
                 e8.append(linalg.op_norm(1j * (omega6 + tail) - h_ref))
-            err = engine._hermitian_norm_bound(1j * tail)
+            err = engine._hermitian_norm_bound(tail)
             ratio = err / linalg.op_norm(linalg.expm_hermitian(1j * omega6, 1.0) - u_ref)
-            slack = min(slack, math.log2(e6[0] / e6[1]) - 6.5,
-                        math.log2(e8[0] / e8[1]) - 8.5, ratio - 0.9, 2.0 - ratio)
+            slack = min(slack, math.log2(e6[0] / e6[1]) - 13.0,
+                        math.log2(e8[0] / e8[1]) - 17.0, ratio - 0.9, 2.0 - ratio)
     return slack
 
 

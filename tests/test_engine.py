@@ -122,6 +122,31 @@ class TestPropagate:
         u = propagate_with_stats(affine(zero), 1.0, kicks=kicks)[0]
         assert np.allclose(u, y @ z @ x)
 
+    def test_lifted_pulse_kicks_equal_dense_products(self, rng):
+        # every kick of a d = 64 run (n = 4 system (x) n_b = 2 bath), gathered
+        schedule = pdd_schedule(universal_group(4), 0.25, 0.0, 1)
+        kicks = schedule_kicks(schedule, 4)
+        for _, kick in kicks:
+            perm, phase = engine._monomial_gather(kick)
+            u = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+            assert np.array_equal(phase[:, None] * u[perm], kick @ u)
+        zero = np.zeros((64, 64))
+        generator = AffineGenerator((zero,), zero, lambda t: 0.0)
+        u = propagate_with_stats(generator, schedule.total_time, kicks=kicks)[0]
+        expected = np.eye(64, dtype=complex)
+        for _, kick in kicks:
+            expected = kick @ expected
+        assert np.array_equal(u, expected)
+
+    def test_non_monomial_kick_refused_before_any_step(self, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a trial step was taken")
+
+        monkeypatch.setattr(engine, "_magnus86_trial", no_step)
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+        with pytest.raises(ValueError, match="monomial"):
+            propagate_with_stats(affine(np.eye(2)), 1.0, kicks=((0.5, hadamard),))
+
     def test_zero_time(self):
         u = propagate_with_stats(affine(np.eye(2, dtype=complex)), 0.0)[0]
         assert np.array_equal(u, np.eye(2))

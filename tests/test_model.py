@@ -49,6 +49,13 @@ class TestSchedules:
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
             schedule_eval("linear", 1.5)
+        with pytest.raises(ValueError, match="outside"):
+            Schedule("smooth-endpoint")(-0.1)
+
+    @pytest.mark.parametrize("kind", model.SCHEDULE_KINDS)
+    def test_call_matches_schedule_eval(self, kind):
+        for s in np.linspace(0.0, 1.0, 101):
+            assert abs(Schedule(kind)(float(s)) - schedule_eval(kind, float(s))[0]) <= 1e-15
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
