@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import real_if_exact
 from .pauli import PauliString, apply_pauli, commutes, pauli_mul, to_dense
 
 
@@ -82,7 +83,8 @@ class StabilizerCode:
         return self.n - len(self.generators)
 
     def basis_matrix(self) -> np.ndarray:
-        """2^n x 2^k matrix whose columns are the codewords."""
+        """2^n x 2^k matrix whose columns are the codewords, in their dtype:
+        float64 for the real codewords of :func:`code_from_universal_group`."""
         return self.codewords.T.copy()
 
 
@@ -159,7 +161,9 @@ def code_from_universal_group(n: int) -> tuple[StabilizerCode, LogicalOperatorSe
     Codewords are (|x> + |not x>)/sqrt(2) over even-weight bitstrings x.
     Labels follow the convention that label bit j records the action of
     Xbar_j on the all-zero logical state, so for n=4 the labels come out
-    in the order 00, 10, 01, 11.
+    in the order 00, 10, 01, 11.  The codewords are built by doubling: rows
+    [2^j, 2^(j+1)) are Xbar_j applied to rows [0, 2^j).  They are real, and
+    stored as float64.
     """
     k = n - 2
     logical = _logical_operators(n)
@@ -168,19 +172,12 @@ def code_from_universal_group(n: int) -> tuple[StabilizerCode, LogicalOperatorSe
         PauliString.global_string(n, "Z"),
     )
     dim = 1 << n
-    base = np.zeros(dim, dtype=complex)
-    base[0] = 1 / np.sqrt(2)
-    base[dim - 1] = 1 / np.sqrt(2)
     codewords = np.zeros((1 << k, dim), dtype=complex)
-    labels = []
-    for m in range(1 << k):
-        vec = base
-        for j in range(k):
-            if (m >> j) & 1:
-                vec = apply_pauli(logical.xbars[j], vec)
-        codewords[m] = vec
-        labels.append("".join(str((m >> j) & 1) for j in range(k)))
-    code = StabilizerCode(n, generators, codewords, tuple(labels))
+    codewords[0, [0, dim - 1]] = 1 / np.sqrt(2)
+    for j, xbar in enumerate(logical.xbars):
+        codewords[1 << j:2 << j] = apply_pauli(xbar, codewords[:1 << j])
+    labels = tuple("".join(str((m >> j) & 1) for j in range(k)) for m in range(1 << k))
+    code = StabilizerCode(n, generators, real_if_exact(codewords), labels)
     _validate_code(code)
     return code, logical
 
@@ -209,9 +206,8 @@ def _validate_code(code: StabilizerCode) -> None:
     if np.max(np.abs(gram - np.eye(len(code.labels)))) > 1e-12:
         raise ValueError("codewords are not orthonormal")
     for g in code.generators:
-        for vec in code.codewords:
-            if np.max(np.abs(apply_pauli(g, vec) - vec)) > 1e-12:
-                raise ValueError(f"codeword is not a +1 eigenvector of {g}")
+        if np.max(np.abs(apply_pauli(g, code.codewords) - code.codewords)) > 1e-12:
+            raise ValueError(f"codeword is not a +1 eigenvector of {g}")
 
 
 def encode_hamiltonian(

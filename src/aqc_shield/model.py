@@ -5,6 +5,10 @@ Conventions: s = t/T is dimensionless time, H(s) = (1-f(s)) H0 + f(s) H1,
 and term lists are ``(coefficient, PauliString)`` pairs with real
 coefficients.  All energies are expressed in units of the base scale
 delta0 = 1 unless stated otherwise.
+
+Dtypes: a dense Hamiltonian built from a term list is float64 when its Pauli
+terms are real (X and Z letters, or an even number of Y letters per string)
+and complex otherwise, so real models reach the real symmetric eigensolver.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .pauli import PauliString, to_dense
-from .linalg import op_norm, require_hermitian
+from .pauli import MAX_DENSE_QUBITS, PauliString, _signed_permutation, to_dense
+from .linalg import op_norm, real_if_exact, require_hermitian
 
 SCHEDULE_KINDS = ("linear", "smooth-endpoint", "polynomial-smooth")
 
@@ -128,12 +132,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def dense_terms(terms: TermList, n: int) -> np.ndarray:
-    """Dense sum of a coefficient/Pauli term list on n qubits."""
+    """Dense sum of a coefficient/Pauli term list on n qubits.
+
+    Each term's signed permutation, the entries :func:`to_dense` writes, is
+    added into one accumulator.  The result is float64 when its imaginary
+    part is exactly zero and complex otherwise.
+    """
+    if n > MAX_DENSE_QUBITS:
+        raise ValueError(f"dense conversion of {n} qubits exceeds the cap of {MAX_DENSE_QUBITS}")
     dim = 1 << n
     h = np.zeros((dim, dim), dtype=complex)
     for coeff, term in terms:
-        h += coeff * to_dense(term)
-    return h
+        if term.n != n:
+            raise ValueError(f"term {term} does not act on {n} qubits")
+        idx, flip, amp = _signed_permutation(term)
+        h[idx ^ flip, idx] += coeff * amp
+    return real_if_exact(h)
 
 
 def h_ad(spec: AdiabaticSpec, s: float) -> np.ndarray:

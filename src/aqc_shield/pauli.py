@@ -179,12 +179,12 @@ def to_dense(p: PauliString, max_qubits: int = MAX_DENSE_QUBITS) -> np.ndarray:
 
 
 def apply_pauli(p: PauliString, vec: np.ndarray) -> np.ndarray:
-    """Apply ``p`` to a state vector by the signed permutation of ``to_dense``,
-    without forming the dense matrix."""
+    """Apply ``p`` to a state vector, or to every row of a (..., 2^n) stack of
+    them, by the signed permutation of ``to_dense``, without forming the
+    dense matrix.  The result is complex."""
     dim = 1 << p.n
-    if vec.shape != (dim,):
+    if vec.ndim < 1 or vec.shape[-1] != dim:
         raise ValueError(f"state dimension {vec.shape} does not match 2^{p.n}")
     idx, flip, amp = _signed_permutation(p)
-    out = np.zeros(dim, dtype=complex)
-    out[idx ^ flip] = amp * vec
-    return out
+    # flip is an involution: entry i of p|v> is amp[i ^ flip] v[i ^ flip]
+    return (amp * vec)[..., idx ^ flip]

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from aqc_shield import verify
+from dataclasses import replace
+
 from aqc_shield.codes import (
     DecouplingGroup,
+    _validate_code,
     code_from_universal_group,
     encode_hamiltonian,
     erred_state_energy,
@@ -129,6 +132,40 @@ class TestCodeConstruction:
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError, match="even"):
             code_from_universal_group(5)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_doubling_build_equals_per_label_loop(self, n):
+        code, logical = code_from_universal_group(n)
+        k = n - 2
+        base = np.zeros(1 << n, dtype=complex)
+        base[0] = base[-1] = 1 / np.sqrt(2)
+        for m in range(1 << k):
+            vec = base
+            for j in range(k):
+                if (m >> j) & 1:
+                    vec = apply_pauli(logical.xbars[j], vec)
+            assert np.array_equal(code.codewords[m], vec)
+            assert code.labels[m] == "".join(str((m >> j) & 1) for j in range(k))
+        assert len(code.labels) == len(code.codewords) == 1 << k
+
+    def test_basis_matrix_is_real(self):
+        code, _ = code_from_universal_group(6)
+        v = code.basis_matrix()
+        assert v.dtype == np.float64 and v.shape == (64, 16)
+        assert np.array_equal(v, code.codewords.T)
+
+    def test_corrupted_codewords_rejected(self):
+        code, _ = code_from_universal_group(4)
+        scaled = code.codewords.copy()
+        scaled[2] *= 1.01
+        with pytest.raises(ValueError, match="not orthonormal"):
+            _validate_code(replace(code, codewords=scaled))
+        # (|0000> - |1111>)/sqrt(2) is orthogonal to the other codewords but
+        # a -1 eigenvector of the global X string
+        flipped = code.codewords.copy()
+        flipped[0, -1] *= -1
+        with pytest.raises(ValueError, match="not a \\+1 eigenvector of \\+XXXX"):
+            _validate_code(replace(code, codewords=flipped))
 
 
 class TestEncoding:

@@ -176,6 +176,40 @@ class TestCompiledModel:
             AdiabaticSpec(n=2, h0_terms=[], h1_terms=[], penalty=np.eye(2))
 
 
+def random_terms(rng, n, letters="IXYZ", count=6):
+    return [
+        (float(rng.standard_normal()),
+         PauliString.from_letters("".join(rng.choice(list(letters), size=n))))
+        for _ in range(count)
+    ]
+
+
+class TestDenseTerms:
+    def test_equals_sum_of_dense_strings(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            terms = random_terms(rng, n)
+            ref = np.zeros((1 << n, 1 << n), dtype=complex)
+            for coeff, term in terms:
+                ref += coeff * to_dense(term)
+            assert np.array_equal(dense_terms(terms, n), ref)
+
+    def test_float64_exactly_when_the_terms_are_real(self, rng):
+        for n in (1, 3, 5):
+            assert dense_terms(random_terms(rng, n, "IXZ"), n).dtype == np.float64
+        assert dense_terms([], 2).dtype == np.float64
+        even_y = [(0.5, PauliString.from_letters("YY")), (-1.0, PauliString.from_letters("XZ"))]
+        assert dense_terms(even_y, 2).dtype == np.float64
+        odd_y = [(0.5, PauliString.from_letters("YZ")), (-1.0, PauliString.from_letters("XX"))]
+        assert dense_terms(odd_y, 2).dtype == np.complex128
+
+    def test_term_register_and_cap_checked(self):
+        with pytest.raises(ValueError, match="does not act on 3 qubits"):
+            dense_terms([(1.0, PauliString.from_letters("XX"))], 3)
+        with pytest.raises(ValueError, match="cap"):
+            dense_terms([], 13)
+
+
 class TestUniversalTerms:
     def test_empty(self):
         assert universal_aqc_terms({}, {}, 2) == []
@@ -282,3 +316,25 @@ class TestMinGap:
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="two grid points"):
             min_gap(two_level_spec(), grid_points=1)
+
+    def test_complex_model_matches_dense_reference(self):
+        # an odd number of Y letters keeps H1 complex
+        h0 = [(-1.0, PauliString.from_letters("XII")), (-1.0, PauliString.from_letters("IXI")),
+              (-1.0, PauliString.from_letters("IIX"))]
+        h1 = [(0.7, PauliString.from_letters("YZI")), (-0.5, PauliString.from_letters("ZZI")),
+              (0.4, PauliString.from_letters("IYX")), (-0.9, PauliString.from_letters("IIZ")),
+              (-0.6, PauliString.from_letters("ZII")), (-0.8, PauliString.from_letters("IZI"))]
+        spec = AdiabaticSpec(n=3, h0_terms=h0, h1_terms=h1, total_time=1.0)
+        assert spec.H1.dtype == np.complex128
+        dense0, dense1 = (sum(c * to_dense(p) for c, p in terms) for terms in (h0, h1))
+
+        def reference(s):
+            f = spec.schedule(s)
+            return np.linalg.eigvalsh((1 - f) * dense0 + f * dense1)
+
+        report = min_gap(spec, grid_points=41)
+        for s, row in zip(report.s_grid, report.energies):
+            assert np.max(np.abs(row - reference(float(s)))) <= 1e-12
+        e = reference(report.s_star)
+        assert not report.degenerate and 0 < report.s_star < 1
+        assert report.gap == pytest.approx(e[1] - e[0], abs=1e-12)

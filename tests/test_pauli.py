@@ -128,6 +128,21 @@ class TestDense:
             v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
             assert np.allclose(apply_pauli(p, v), to_dense(p) @ v, atol=1e-12)
 
+    def test_apply_to_a_stack_equals_row_by_row(self, rng):
+        for n in (1, 3, 5):
+            p = rand_pauli(rng, n)
+            stack = rng.standard_normal((3, 4, 1 << n)) + 1j * rng.standard_normal((3, 4, 1 << n))
+            out = apply_pauli(p, stack)
+            assert out.shape == stack.shape
+            for idx in np.ndindex(3, 4):
+                assert np.array_equal(out[idx], apply_pauli(p, stack[idx]))
+
+    def test_apply_rejects_wrong_dimension(self):
+        p = PauliString.from_letters("XZ")
+        for bad in (np.ones(8), np.ones((2, 3)), np.ones((4, 2)), np.ones(())):
+            with pytest.raises(ValueError, match="does not match 2\\^2"):
+                apply_pauli(p, bad)
+
 
 class TestValidation:
     def test_bad_phase(self):

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from aqc_shield import cli, codes, model, runner, verify
+from aqc_shield import cli, codes, metrics, model, runner, verify
 from aqc_shield.config import ExperimentConfig, SweepSpec, loads_config
 
 QUICK = """
@@ -160,6 +161,22 @@ class TestOutputs:
         assert lines[0].startswith("s,E0,E1")
         assert lines[0].endswith(",gap")
         assert len(lines) == 22
+
+    def test_gap_rows_are_format_number_cells(self, tmp_path):
+        cfg = quick_cfg(tmp_path)
+        path = runner.write_gap_csv(cfg, grid_points=21)
+        report = model.min_gap(runner.build_model(cfg).spec, grid_points=21)
+        rows = [
+            ",".join(metrics.format_number(v) for v in (s, *row, row[1] - row[0]))
+            for s, row in zip(report.s_grid, report.energies)
+        ]
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read().split("\n")[1:] == rows + [""]
+
+    def test_encoded_n8_model_is_real(self, tmp_path):
+        # a complex code pair would double the cost of every gap-sweep solve
+        spec = runner.build_model(loads_config(ENCODED_N8.format(out=tmp_path))).spec
+        assert [op.dtype for op in spec.code_pair] == [np.float64, np.float64]
 
 
 class TestSweep:
