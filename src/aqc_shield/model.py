@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pauli import MAX_DENSE_QUBITS, PauliString, _signed_permutation, to_dense
+from .pauli import MAX_DENSE_QUBITS, PauliString, dense_entries, to_dense
 from .linalg import op_norm, real_if_exact, require_hermitian
 
 SCHEDULE_KINDS = ("linear", "smooth-endpoint", "polynomial-smooth")
@@ -134,8 +134,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def dense_terms(terms: TermList, n: int) -> np.ndarray:
     """Dense sum of a coefficient/Pauli term list on n qubits.
 
-    Each term's signed permutation, the entries :func:`to_dense` writes, is
-    added into one accumulator.  The result is float64 when its imaginary
+    Each term's :func:`dense_entries` are added into one accumulator, with
+    no dense temporary per term.  The result is float64 when its imaginary
     part is exactly zero and complex otherwise.
     """
     if n > MAX_DENSE_QUBITS:
@@ -145,8 +145,8 @@ def dense_terms(terms: TermList, n: int) -> np.ndarray:
     for coeff, term in terms:
         if term.n != n:
             raise ValueError(f"term {term} does not act on {n} qubits")
-        idx, flip, amp = _signed_permutation(term)
-        h[idx ^ flip, idx] += coeff * amp
+        rows, cols, values = dense_entries(term)
+        h[rows, cols] += coeff * values
     return real_if_exact(h)
 
 

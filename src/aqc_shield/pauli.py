@@ -167,14 +167,21 @@ def _signed_permutation(p: PauliString) -> tuple[np.ndarray, int, np.ndarray]:
     return idx, flip, amp
 
 
+def dense_entries(p: PauliString) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of the nonzero entries of ``p``'s dense matrix,
+    one signed entry per column."""
+    idx, flip, amp = _signed_permutation(p)
+    return idx ^ flip, idx, amp
+
+
 def to_dense(p: PauliString, max_qubits: int = MAX_DENSE_QUBITS) -> np.ndarray:
     """Dense 2^n x 2^n matrix of ``p`` (phase included), written directly
-    as one signed entry per column rather than by a kron chain."""
+    from :func:`dense_entries` rather than by a kron chain."""
     if p.n > max_qubits:
         raise ValueError(f"dense conversion of {p.n} qubits exceeds the cap of {max_qubits}")
-    idx, flip, amp = _signed_permutation(p)
-    mat = np.zeros((idx.size, idx.size), dtype=complex)
-    mat[idx ^ flip, idx] = amp
+    rows, cols, values = dense_entries(p)
+    mat = np.zeros((cols.size, cols.size), dtype=complex)
+    mat[rows, cols] = values
     return mat
 
 

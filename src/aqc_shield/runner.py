@@ -256,9 +256,8 @@ def write_gap_csv(cfg: ExperimentConfig, out_dir: str | None = None,
     levels = report.energies.shape[1]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("s," + ",".join(f"E{i}" for i in range(levels)) + ",gap\n")
-        # rows as Python floats, in the .17g of metrics.format_number
         for s, row in zip(report.s_grid.tolist(), report.energies.tolist()):
-            fh.write(",".join(f"{x:.17g}" for x in (s, *row, row[1] - row[0])) + "\n")
+            fh.write(",".join(map(metrics.format_number, (s, *row, row[1] - row[0]))) + "\n")
     print(
         f"minimal gap {report.gap:.12g} at s*={report.s_star:.12g}"
         + (" (degenerate ground level)" if report.degenerate else ""),

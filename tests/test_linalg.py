@@ -72,36 +72,6 @@ class TestExpm:
         with pytest.raises(ValueError, match="exponent is not Hermitian within 1e-10"):
             expm_hermitian(h, 1.0)
 
-    def test_hermitian_within_tol_takes_its_hermitian_part(self, rng):
-        # a - a^H of order 1e-12: accepted, and replaced by 0.5 (a + a^H),
-        # which is exactly Hermitian and exponentiated as it stands
-        for d in (4, 16):
-            h = random_hermitian(rng, d)
-            h += 1e-12 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-            part = 0.5 * (h + h.conj().T)
-            assert not np.array_equal(h, h.conj().T)
-            assert np.array_equal(part, part.conj().T)
-            for t in (0.3, 7.0):
-                assert np.array_equal(expm_hermitian(h, t), expm_hermitian(part, t))
-
-    def test_require_hermitian_decides_on_the_modulus(self, rng):
-        # deviations whose modulus straddles tol: the component bound never
-        # changes which side of tol an input falls on
-        tol = 1e-9
-        for _ in range(200):
-            z = complex(*rng.standard_normal(2))
-            z *= tol / abs(z) * (1 + 4e-16 * rng.integers(-4, 5))
-            a = np.zeros((2, 2), dtype=complex)
-            a[0, 1] = z
-            refused = float(np.max(np.abs(a - a.conj().T))) > tol
-            try:
-                exact = linalg.require_hermitian(a, tol)
-            except ValueError:
-                assert refused
-            else:
-                assert not refused and not exact
-        assert linalg.require_hermitian(random_hermitian(rng, 3), tol)
-
     def test_taylor_theta_from_tail_bound(self):
         # theta_m is the root of sum_{j > m} theta^j / j! = 2^-53
         def tail(theta, m):
