@@ -31,7 +31,6 @@ from .model import (
     SystemBathSpec,
     SpectralReport,
     schedule_eval,
-    h_ad,
     universal_aqc_terms,
     linear_decoherence,
     min_gap,
@@ -41,7 +40,6 @@ from .protocols import (
     ScalingRule,
     pdd_schedule,
     pulse_generator,
-    control_hamiltonian,
     scaled_parameters,
 )
 from .engine import (

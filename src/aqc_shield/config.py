@@ -269,6 +269,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("model.n = 2 encodes zero logical qubits; preset needs n >= 4")
     if m.j < 0:
         raise ConfigError("model.j must be nonnegative")
+    if m.beta_b < 0:
+        raise ConfigError("model.beta_b must be nonnegative")
     if m.e_p < 0:
         raise ConfigError("model.e_p must be nonnegative")
     if m.e_p > 0:
@@ -320,6 +322,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         )
     if r.bath_state not in BATH_STATES:
         raise ConfigError(f"run.bath_state must be one of {BATH_STATES}")
+    if r.alpha < 0:
+        raise ConfigError("run.alpha must be nonnegative: it scales a budget term")
     if m.h0 is not None:
         k = m.n - 2 if m.code else m.n
         parse_terms(m.h0, k, "model.h0")

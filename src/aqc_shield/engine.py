@@ -163,7 +163,6 @@ class RunArtifacts:
     u_total: np.ndarray
     rho_final: np.ndarray
     rho_s_final: np.ndarray
-    h_eff: np.ndarray
     phi: float
     diagnostics: dict = field(default_factory=dict)
 
@@ -366,16 +365,15 @@ def _hermitian_norm_bound(x: np.ndarray) -> float:
     return math.sqrt(float(np.abs(x @ x).sum(axis=0).max()))
 
 
-def instantaneous_ground_state(
-    spec: AdiabaticSpec, s: float, degeneracy_tol: float = 1e-12
-) -> np.ndarray:
+def instantaneous_ground_state(spec: AdiabaticSpec, s: float) -> np.ndarray:
     """Ground state of H(s), inside the code space when the spec is encoded.
 
-    The phase is fixed by making the largest-magnitude amplitude real and
+    A ground level split by less than 1e-12 is refused as degenerate.  The
+    phase is fixed by making the largest-magnitude amplitude real and
     positive, so repeated calls are deterministic.
     """
     evals, vecs = np.linalg.eigh(spec.interpolate(s, *spec.code_pair))
-    if len(evals) > 1 and evals[1] - evals[0] < degeneracy_tol:
+    if len(evals) > 1 and evals[1] - evals[0] < 1e-12:
         raise DegenerateGroundStateError(
             f"ground level degenerate at s={s} (splitting {evals[1] - evals[0]:.2e})"
         )
@@ -521,20 +519,18 @@ def frame_unitary(
     return np.kron(u_sys, expm_hermitian(bath.h_b, total))
 
 
-def effective_hamiltonian(
-    u_interaction: np.ndarray, total_time: float, canon_tol: float = 1e-8
-) -> tuple[np.ndarray, float]:
+def effective_hamiltonian(u_interaction: np.ndarray, total_time: float) -> tuple[np.ndarray, float]:
     """(H_eff, Phi) from the interaction-frame propagator.
 
     The global phase is first canonicalized by dividing out the phase of
-    the trace (when the trace is not numerically zero), so the error phase
+    the trace (when |trace| exceeds 1e-8), so the error phase
     Phi = T ||H_eff|| is gauge independent.
     """
     if total_time <= 0:
         raise ValueError(f"total time must be positive, got {total_time}")
     tr = complex(np.trace(u_interaction))
     u = u_interaction
-    if abs(tr) > canon_tol:
+    if abs(tr) > 1e-8:
         u = u * (tr.conjugate() / abs(tr))
     h_log = logm_unitary(u)
     return h_log / total_time, float(op_norm(h_log))
@@ -561,7 +557,7 @@ def run_protected(
 
     Both start from (ground state of H(0)) (x) (bath initial state); the
     twin differs only by deletion of the system-bath term.  Each artifact
-    carries the interaction-frame effective Hamiltonian and error phase.
+    carries the error phase of its interaction-frame effective Hamiltonian.
     """
     cfg = cfg or IntegratorConfig()
     n = spec.n
@@ -590,9 +586,9 @@ def run_protected(
         rho_final = u_total @ rho0 @ u_total.conj().T
         rho_s = partial_trace(rho_final, (1 << n, bath.bath_dim), (0,))
         u_tilde = dagger(u_frame) @ u_total
-        h_eff, phi = effective_hamiltonian(u_tilde, total)
+        _, phi = effective_hamiltonian(u_tilde, total)
         stats.update(total_time=total, coupled=coupled)
-        return RunArtifacts(u_total, rho_final, rho_s, h_eff, phi, diagnostics=stats)
+        return RunArtifacts(u_total, rho_final, rho_s, phi, diagnostics=stats)
 
     # The twin's generator is H_sys(t) (x) I + I (x) H_B with commuting
     # parts, so its propagator is U_sys (x) exp(-i H_B T): propagate at 2^n.

@@ -116,7 +116,7 @@ def expm_hermitian(h: np.ndarray, t: float = 1.0, tol: float = DEFAULT_TOL) -> n
     return p
 
 
-def logm_unitary(u: np.ndarray, tol: float = DEFAULT_TOL, branch_tol: float = 1e-10) -> np.ndarray:
+def logm_unitary(u: np.ndarray) -> np.ndarray:
     """Hermitian H on the principal branch with exp(-iH) = u.
 
     The eigenvectors come from the Hermitian Cayley transform
@@ -126,11 +126,11 @@ def logm_unitary(u: np.ndarray, tol: float = DEFAULT_TOL, branch_tol: float = 1e
     monotone in phi, so distinct eigenphases of u never mix.  With Q the
     eigenvectors of C, Q^dag u Q is diagonal for a (numerically) unitary
     input and H = Q diag(-angle) Q^dag is Hermitian by construction.
-    Raises :class:`BranchCutError` when an eigenphase of u falls within
-    ``branch_tol`` of the +/- pi boundary, where the principal branch is
-    ambiguous.
+    ``u`` must be unitary within :data:`DEFAULT_TOL`.  Raises
+    :class:`BranchCutError` when an eigenphase of u falls within 1e-10 of
+    the +/- pi boundary, where the principal branch is ambiguous.
     """
-    require_unitary(u, tol, "log argument")
+    require_unitary(u, DEFAULT_TOL, "log argument")
     d = u.shape[0]
     phases = np.sort(np.angle(np.linalg.eigvals(u)))
     gaps = np.diff(phases, append=phases[0] + 2 * np.pi)
@@ -142,10 +142,10 @@ def logm_unitary(u: np.ndarray, tol: float = DEFAULT_TOL, branch_tol: float = 1e
     t_mat = q.conj().T @ u @ q
     diag = np.diag(t_mat)
     off = float(np.max(np.abs(t_mat - np.diag(diag)))) if d > 1 else 0.0
-    if off > 100 * tol:
+    if off > 100 * DEFAULT_TOL:
         raise ValueError(f"Q^dag u Q not diagonal (off-diagonal {off:.3e}); input not normal?")
     phases = np.angle(diag)
-    if np.any(np.abs(np.abs(phases) - np.pi) < branch_tol):
+    if np.any(np.abs(np.abs(phases) - np.pi) < 1e-10):
         raise BranchCutError("eigenphase at the +/- pi boundary; principal branch is ambiguous")
     h = (q * (-phases)) @ q.conj().T
     return 0.5 * (h + h.conj().T)

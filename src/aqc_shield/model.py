@@ -24,7 +24,23 @@ import numpy as np
 from .pauli import MAX_DENSE_QUBITS, PauliString, dense_entries, to_dense
 from .linalg import op_norm, real_if_exact, require_hermitian
 
-SCHEDULE_KINDS = ("linear", "smooth-endpoint", "polynomial-smooth")
+_TWO_PI = 2 * math.pi
+
+# (f, f', f'') of each schedule kind on s in [0, 1], with ``math`` on floats.
+_SCHEDULE_FORMULAS: dict[str, tuple[Callable[[float], float], ...]] = {
+    "linear": (lambda s: s, lambda s: 1.0, lambda s: 0.0),
+    "smooth-endpoint": (
+        lambda s: s - math.sin(_TWO_PI * s) / _TWO_PI,
+        lambda s: 1.0 - math.cos(_TWO_PI * s),
+        lambda s: _TWO_PI * math.sin(_TWO_PI * s),
+    ),
+    "polynomial-smooth": (
+        lambda s: s * s * (3 - 2 * s),
+        lambda s: 6 * s * (1 - s),
+        lambda s: 6 - 12 * s,
+    ),
+}
+SCHEDULE_KINDS = tuple(_SCHEDULE_FORMULAS)
 
 TermList = list[tuple[float, PauliString]]
 
@@ -44,33 +60,22 @@ class Schedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}; choose from {SCHEDULE_KINDS}")
 
     def __call__(self, s: float) -> float:
-        """f(s) alone, with ``math`` on floats; :func:`schedule_eval` also
-        gives the derivatives."""
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"s = {s} outside [0, 1]")
-        if self.kind == "smooth-endpoint":
-            return s - math.sin(2 * math.pi * s) / (2 * math.pi)
-        if self.kind == "polynomial-smooth":
-            return s * s * (3 - 2 * s)
-        return s
+        """f(s) alone; :func:`schedule_eval` also gives the derivatives."""
+        return _schedule_formulas(self.kind, s)[0](s)
 
 
 def schedule_eval(kind: str, s: float) -> tuple[float, float, float]:
     """(f, f', f'') at s in [0, 1]."""
+    return tuple(formula(s) for formula in _schedule_formulas(kind, s))
+
+
+def _schedule_formulas(kind: str, s: float) -> tuple[Callable[[float], float], ...]:
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s = {s} outside [0, 1]")
-    if kind == "linear":
-        return s, 1.0, 0.0
-    if kind == "smooth-endpoint":
-        two_pi = 2 * np.pi
-        return (
-            s - np.sin(two_pi * s) / two_pi,
-            1.0 - np.cos(two_pi * s),
-            two_pi * np.sin(two_pi * s),
-        )
-    if kind == "polynomial-smooth":
-        return s * s * (3 - 2 * s), 6 * s * (1 - s), 6 - 12 * s
-    raise ValueError(f"unknown schedule kind {kind!r}")
+    try:
+        return _SCHEDULE_FORMULAS[kind]
+    except KeyError:
+        raise ValueError(f"unknown schedule kind {kind!r}") from None
 
 
 @dataclass(frozen=True)
@@ -120,8 +125,8 @@ class AdiabaticSpec:
         return tuple(_read_only(v.conj().T @ h @ v) for h in (self.H0, self.H1))
 
     def interpolate(self, s: float, h0=None, h1=None) -> np.ndarray:
-        """(1 - f(s)) H0 + f(s) H1, with ``h0``/``h1`` standing in for the
-        dense pair when given (e.g. their lifts to a system (x) bath space)."""
+        """Dense H(s) = (1 - f(s)) H0 + f(s) H1, with ``h0``/``h1`` standing
+        in for the dense pair when given."""
         f = self.schedule(s)
         return (1 - f) * (self.H0 if h0 is None else h0) + f * (self.H1 if h1 is None else h1)
 
@@ -150,34 +155,28 @@ def dense_terms(terms: TermList, n: int) -> np.ndarray:
     return real_if_exact(h)
 
 
-def h_ad(spec: AdiabaticSpec, s: float) -> np.ndarray:
-    """Dense H(s) = (1 - f(s)) H0 + f(s) H1."""
-    return spec.interpolate(s)
-
-
 def universal_aqc_terms(
-    h_coeffs: dict[tuple[int, str], float | Callable[[float], float]],
-    j_coeffs: dict[tuple[int, int, str], float | Callable[[float], float]],
+    h_coeffs: dict[tuple[int, str], float],
+    j_coeffs: dict[tuple[int, int, str], float],
     n: int,
-    s: float = 0.0,
 ) -> TermList:
     """Terms of the 2-local universal family sum h_i^a sigma_i^a + sum J_ij^a sigma_i^a sigma_j^a.
 
     Only a in {x, z} is allowed; transverse single-site fields and
     same-letter two-site couplings are exactly the interactions that stay
-    2-local after encoding.  Coefficients may be numbers or callables of s.
+    2-local after encoding.
     """
     terms: TermList = []
     for (i, alpha), coeff in h_coeffs.items():
         letter = _validate_alpha(alpha)
-        value = coeff(s) if callable(coeff) else float(coeff)
+        value = float(coeff)
         if value != 0.0:
             terms.append((value, PauliString.single(n, i, letter)))
     for (i, j, alpha), coeff in j_coeffs.items():
         letter = _validate_alpha(alpha)
         if i == j:
             raise ValueError(f"two-site coupling needs distinct sites, got ({i}, {j})")
-        value = coeff(s) if callable(coeff) else float(coeff)
+        value = float(coeff)
         if value != 0.0:
             pair = PauliString.single(n, i, letter) * PauliString.single(n, j, letter)
             terms.append((value, pair))
@@ -344,8 +343,9 @@ def _golden_section(f: Callable[[float], float], a: float, b: float, xtol: float
     return float(x), float(f(x))
 
 
-def beta_system_bath(spec: AdiabaticSpec, h_b: np.ndarray, samples: int = 21) -> float:
-    """Exact norm of H(s) (+ penalty) (x) I + I (x) H_B, maximized over sampled s.
+def beta_system_bath(spec: AdiabaticSpec, h_b: np.ndarray) -> float:
+    """Exact norm of H(s) (+ penalty) (x) I + I (x) H_B, maximized over 21
+    evenly spaced s in [0, 1].
 
     Spectra of the two commuting summands add, so the norm is the largest
     |lambda_i + mu_j| over extreme eigenvalues.
@@ -353,8 +353,8 @@ def beta_system_bath(spec: AdiabaticSpec, h_b: np.ndarray, samples: int = 21) ->
     mu = np.linalg.eigvalsh(h_b)
     mu_lo, mu_hi = float(mu[0]), float(mu[-1])
     best = 0.0
-    for s in np.linspace(0.0, 1.0, samples):
-        h = h_ad(spec, s)
+    for s in np.linspace(0.0, 1.0, 21):
+        h = spec.interpolate(s)
         if spec.penalty is not None:
             h = h + spec.penalty
         require_hermitian(h, 1e-9, "system Hamiltonian")

@@ -43,8 +43,8 @@ _SINGLE_PRODUCT = {
     ("X", "Z"): ("Y", -1j),
 }
 
-# Default cap on dense conversion: 2^12 x 2^12 is the largest matrix the
-# dense kernel is meant to produce.
+# Cap on dense conversion: 2^12 x 2^12 is the largest matrix the dense
+# kernel is meant to produce.
 MAX_DENSE_QUBITS = 12
 
 _PHASE_LABEL = {1 + 0j: "+", 1j: "+i", -1 + 0j: "-", -1j: "-i"}
@@ -174,11 +174,11 @@ def dense_entries(p: PauliString) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return idx ^ flip, idx, amp
 
 
-def to_dense(p: PauliString, max_qubits: int = MAX_DENSE_QUBITS) -> np.ndarray:
+def to_dense(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n matrix of ``p`` (phase included), written directly
     from :func:`dense_entries` rather than by a kron chain."""
-    if p.n > max_qubits:
-        raise ValueError(f"dense conversion of {p.n} qubits exceeds the cap of {max_qubits}")
+    if p.n > MAX_DENSE_QUBITS:
+        raise ValueError(f"dense conversion of {p.n} qubits exceeds the cap of {MAX_DENSE_QUBITS}")
     rows, cols, values = dense_entries(p)
     mat = np.zeros((cols.size, cols.size), dtype=complex)
     mat[rows, cols] = values

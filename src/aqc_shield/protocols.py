@@ -7,8 +7,13 @@ G_k = P_{K-1} ... P_{k+1} P_k with G_0 = I, i.e. P_k = G_{k+1}^dag G_k and
 P_{K-1} = G_{K-1}.  The product over a full cycle telescopes to the
 identity exactly, so complete cycles leave no net control action.
 
-w = 0 is the ideal-pulse limit: the control Hamiltonian is zero almost
-everywhere and the pulses act as instantaneous unitary kicks at slot ends.
+The control Hamiltonian H_C(t) is the slot's :func:`pulse_generator`
+inside its window and zero elsewhere, so H_C(t + T_c) = H_C(t) for the
+cycle time T_c.  The propagation layer adds it to the system Hamiltonian as
+the window pieces of its generator (``engine.protected_hamiltonian``);
+:func:`slot_index` tells a window from free evolution.  w = 0 is the
+ideal-pulse limit: H_C vanishes and the pulses act as instantaneous unitary
+kicks at slot ends.
 """
 
 from __future__ import annotations
@@ -119,20 +124,6 @@ def slot_index(schedule: PulseSchedule, t: float) -> tuple[int, bool]:
     slot = min(int(t / schedule.slot_time), schedule.total_pulses - 1)
     local = t - slot * schedule.slot_time
     return slot, schedule.w > 0 and local >= schedule.tau and t < total
-
-
-def control_hamiltonian(schedule: PulseSchedule, t: float) -> np.ndarray:
-    """H_C(t): zero on free intervals, the slot generator inside pulse windows.
-
-    Periodic with period T_c.  In the ideal-pulse limit w = 0 the control
-    is a sequence of instantaneous kicks and this function is identically
-    zero; the kicks are applied separately by the propagation layer.
-    """
-    dim = 1 << schedule.group.n
-    slot, in_window = slot_index(schedule, t)
-    if not in_window:
-        return np.zeros((dim, dim))
-    return pulse_generator(schedule.pulses[slot % schedule.order], schedule.w)
 
 
 @dataclass(frozen=True)

@@ -67,8 +67,7 @@ def check_expm_logm_roundtrip() -> float:
     worst = 0.0
     for _ in range(10):
         d = int(rng.integers(2, 9))
-        h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = (h + h.conj().T) / 2
+        h = model._random_hermitian(rng, d)
         norm = linalg.op_norm(h)
         h *= (math.pi - 0.1) * rng.uniform(0.1, 1.0) / norm
         rec = linalg.logm_unitary(linalg.expm_hermitian(h, 1.0))
@@ -90,8 +89,7 @@ def check_expm_eigen_reference() -> float:
     for d in (1, 2, 4, 16, 64):
         cases = []
         for norm in norms:
-            m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            h = (m + m.conj().T) / 2
+            h = model._random_hermitian(rng, d)
             cases.append((h * (norm / engine._hermitian_norm_bound(h)), 1.0))
         if d > 1:
             letters = "".join(rng.choice(list("IXYZ")) for _ in range(d.bit_length() - 1))
@@ -120,7 +118,7 @@ def check_magnus86_orders() -> float:
     mid, slack = 0.4, math.inf
     for d in (2, 8):
         p, q = (3 * h / float(np.abs(h).sum(axis=0).max())
-                for h in (_random_hermitian(rng, d), _random_hermitian(rng, d)))
+                for h in (model._random_hermitian(rng, d), model._random_hermitian(rng, d)))
         stack = engine._commutator_stack(p, q)
         for f in fs:
             e6, e8 = [], []
@@ -139,11 +137,6 @@ def check_magnus86_orders() -> float:
             slack = min(slack, math.log2(e6[0] / e6[1]) - 13.0,
                         math.log2(e8[0] / e8[1]) - 17.0, ratio - 0.9, 2.0 - ratio)
     return slack
-
-
-def _random_hermitian(rng, d):
-    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (m + m.conj().T) / 2
 
 
 def check_commutator_norm_inequality() -> float:
@@ -196,7 +189,7 @@ def check_noninterference() -> float:
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(20):
-        h = model.h_ad(built.spec, float(rng.uniform(0, 1)))
+        h = built.spec.interpolate(float(rng.uniform(0, 1)))
         for el in built.schedule.group.elements:
             d = pauli.to_dense(el)
             worst = max(worst, linalg.op_norm(h @ d - d @ h))
@@ -284,7 +277,7 @@ def check_beta_inequality() -> float:
     bath = model.linear_decoherence(m.n, m.n_b, m.j, m.seed, beta_b=m.beta_b)
     beta = model.beta_system_bath(built.spec, bath.h_b)
     beta_s = max(
-        linalg.op_norm(model.h_ad(built.spec, s)) for s in np.linspace(0, 1, 21)
+        linalg.op_norm(built.spec.interpolate(s)) for s in np.linspace(0, 1, 21)
     )
     beta_b = linalg.op_norm(bath.h_b)
     return beta_s + beta_b + 1e-12 - beta
@@ -334,15 +327,27 @@ def check_scaled_parameters() -> float:
 
 
 def check_control_periodicity() -> float:
-    schedule = protocols.pdd_schedule(codes.universal_group(2), 0.2, 0.05, 3)
+    # H_C(t) as the integrator propagates it: the piece of the uncoupled
+    # generator selected at t, minus the free piece 0.  The pieces selected
+    # at t and t + T_c must be equal, and the window piece of slot k must
+    # add exactly slot k's pulse generator.
+    cfg = _quick_config()
+    cfg.protocol.w = 0.05
+    built = runner.build_model(cfg)
+    schedule = built.schedule
+    bath = model.linear_decoherence(cfg.model.n, 1, 0.1, seed=31)
+    gen = engine.protected_hamiltonian(built.spec, bath, schedule, include_coupling=False)
     rng = np.random.default_rng(31)
     worst = 0.0
     t_c = schedule.cycle_time
     for _ in range(50):
         t = float(rng.uniform(0, schedule.total_time - t_c))
-        h1 = protocols.control_hamiltonian(schedule, t)
-        h2 = protocols.control_hamiltonian(schedule, t + t_c)
+        h1, h2 = (gen.pieces[gen.piece_at(x)] for x in (t, t + t_c))
         worst = max(worst, float(np.max(np.abs(h1 - h2))))
+    for k, p in enumerate(schedule.pulses):
+        window = gen.pieces[gen.piece_at(k * schedule.slot_time + schedule.tau + schedule.w / 2)]
+        h_c = window - gen.pieces[0]
+        worst = max(worst, float(np.max(np.abs(h_c - protocols.pulse_generator(p, schedule.w)))))
     return 1e-9 - worst
 
 

@@ -133,6 +133,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cap"):
             loads_config("[model]\nn = 10\nn_b = 4\n[protocol]\ntau = 1\ncycles = 1\n")
 
+    def test_negative_bath_norm_rejected(self):
+        with pytest.raises(ConfigError, match="model.beta_b must be nonnegative"):
+            loads_config(MINIMAL.replace("j = 0.1", "j = 0.1\nbeta_b = -1"))
+
+    def test_negative_alpha_rejected(self):
+        assert loads_config(MINIMAL + "\n[run]\nalpha = 0\n").run.alpha == 0.0
+        with pytest.raises(ConfigError, match="run.alpha must be nonnegative"):
+            loads_config(MINIMAL + "\n[run]\nalpha = -2\n")
+
     def test_bath_state_choices(self):
         with pytest.raises(ConfigError, match="bath_state"):
             loads_config(MINIMAL + "\n[run]\nbath_state = warm\n")

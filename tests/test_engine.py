@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from aqc_shield import engine, verify
+from aqc_shield import engine
 from aqc_shield.codes import (
     code_from_universal_group,
     global_x_group,
@@ -30,7 +30,7 @@ from aqc_shield.engine import (
 )
 from aqc_shield.linalg import dagger, expm_hermitian, op_norm
 from aqc_shield.metrics import trace_distance
-from aqc_shield.model import AdiabaticSpec, Schedule, h_ad, linear_decoherence
+from aqc_shield.model import AdiabaticSpec, Schedule, linear_decoherence
 from aqc_shield.pauli import PauliString, to_dense
 from aqc_shield.protocols import pdd_schedule, pulse_generator, slot_index
 
@@ -282,10 +282,9 @@ class TestGroundState:
 
     def test_eigen_residual(self):
         spec = encoded_spec(total_time=1.0)
-        from aqc_shield.model import h_ad
         for s in (0.0, 0.3, 1.0):
             psi = instantaneous_ground_state(spec, s)
-            h = h_ad(spec, s)
+            h = spec.interpolate(s)
             e = np.vdot(psi, h @ psi).real
             assert np.linalg.norm(h @ psi - e * psi) <= 1e-10
 
@@ -363,12 +362,13 @@ def quick_protected(j=0.1, total_time=2.0, tau=0.25, w=0.0, tol=1e-9, group=None
 
 def joint_twin_propagator(spec, bath, schedule, tol):
     """The uncoupled twin propagated on the joint space: H_sys(t) (x) I +
-    I (x) H_B with joint kicks, H_sys built here from h_ad, the spec's gated
-    penalty and the pulse generators, one piece per free interval and window."""
+    I (x) H_B with joint kicks, H_sys built here from spec.interpolate, the
+    spec's gated penalty and the pulse generators, one piece per free
+    interval and window."""
     total = schedule.total_time
     eye_b = np.eye(bath.bath_dim)
     h_b = np.kron(np.eye(1 << spec.n), bath.h_b)
-    h_start = h_ad(spec, 0.0)  # f(0) = 0 and f(1) = 1 for every schedule
+    h_start = spec.interpolate(0.0)  # f(0) = 0 and f(1) = 1 for every schedule
     pen = 0 if spec.penalty is None else spec.penalty
     free = h_start + pen
     windows = []
@@ -382,7 +382,7 @@ def joint_twin_propagator(spec, bath, schedule, tol):
 
     gen = AffineGenerator(
         tuple(np.kron(h, eye_b) + h_b for h in (free, *windows)),
-        np.kron(h_ad(spec, 1.0) - h_start, eye_b),
+        np.kron(spec.interpolate(1.0) - h_start, eye_b),
         lambda t: spec.schedule(min(max(t / total, 0.0), 1.0)),
         piece_at,
     )
@@ -585,9 +585,3 @@ class TestMagnusFirstOrder:
     def test_dimension_check(self, rng):
         with pytest.raises(ValueError, match="multiple"):
             group_average(universal_group(2), random_hermitian(rng, 6))
-
-    def test_effective_hamiltonian_converges_to_group_average(self):
-        # one ideal-pulse cycle with a static interaction and no adiabatic
-        # or bath Hamiltonian: the exact effective Hamiltonian approaches
-        # the group average linearly in tau (tau = 0.2, 0.1, 0.05)
-        assert verify.check_magnus_ratio() >= 0

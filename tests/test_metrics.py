@@ -129,7 +129,7 @@ class TestSerialization:
         art = RunArtifacts(
             u_total=np.eye(4, dtype=complex), rho_final=rho,
             rho_s_final=partial_trace(rho, (2, 2), (0,)),
-            h_eff=np.zeros((4, 4), dtype=complex), phi=0.0,
+            phi=0.0,
             diagnostics={"total_time": 1.0},
         )
         closed = ClosedRun(psi_final=np.array([1.0, 0.0]), delta_ad=0.0)
@@ -173,7 +173,7 @@ class TestErrorReport:
             return RunArtifacts(
                 u_total=np.eye(4, dtype=complex), rho_final=rho,
                 rho_s_final=np.eye(2, dtype=complex) / 2,
-                h_eff=np.zeros((4, 4), dtype=complex), phi=0.0,
+                phi=0.0,
                 diagnostics={"total_time": total_time},
             )
 

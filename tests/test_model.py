@@ -10,7 +10,6 @@ from aqc_shield.model import (
     Schedule,
     beta_system_bath,
     dense_terms,
-    h_ad,
     linear_decoherence,
     min_gap,
     schedule_eval,
@@ -52,11 +51,6 @@ class TestSchedules:
         with pytest.raises(ValueError, match="outside"):
             Schedule("smooth-endpoint")(-0.1)
 
-    @pytest.mark.parametrize("kind", model.SCHEDULE_KINDS)
-    def test_call_matches_schedule_eval(self, kind):
-        for s in np.linspace(0.0, 1.0, 101):
-            assert abs(Schedule(kind)(float(s)) - schedule_eval(kind, float(s))[0]) <= 1e-15
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             Schedule("cubic")
@@ -77,13 +71,13 @@ class TestSchedules:
 class TestHAd:
     def test_endpoints(self):
         spec = two_level_spec()
-        assert np.allclose(h_ad(spec, 0.0), to_dense(PauliString.from_letters("X")))
-        assert np.allclose(h_ad(spec, 1.0), to_dense(PauliString.from_letters("Z")))
+        assert np.allclose(spec.interpolate(0.0), to_dense(PauliString.from_letters("X")))
+        assert np.allclose(spec.interpolate(1.0), to_dense(PauliString.from_letters("Z")))
 
     def test_hermitian_along_path(self, rng):
         spec = two_level_spec("smooth-endpoint")
         for s in rng.uniform(0, 1, 20):
-            h = h_ad(spec, float(s))
+            h = spec.interpolate(float(s))
             assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
     def test_norm_triangle(self, rng):
@@ -92,7 +86,7 @@ class TestHAd:
         n1 = op_norm(dense_terms(spec.h1_terms, 1))
         for s in rng.uniform(0, 1, 10):
             f = schedule_eval("linear", float(s))[0]
-            assert op_norm(h_ad(spec, float(s))) <= (1 - f) * n0 + f * n1 + 1e-12
+            assert op_norm(spec.interpolate(float(s))) <= (1 - f) * n0 + f * n1 + 1e-12
 
     def test_term_length_validated(self):
         with pytest.raises(ValueError, match="qubits"):
@@ -136,7 +130,7 @@ class TestCompiledModel:
     def test_h_ad_equals_per_call_build(self):
         spec = encoded_preset_spec()
         for s in self.S_POINTS:
-            assert np.array_equal(h_ad(spec, s), per_call_interpolate(spec, s))
+            assert np.array_equal(spec.interpolate(s), per_call_interpolate(spec, s))
 
     def test_spectra_and_ground_states_equal_per_call_build(self, monkeypatch):
         from aqc_shield.engine import instantaneous_ground_state
@@ -231,10 +225,6 @@ class TestUniversalTerms:
         dense = dense_terms(universal_aqc_terms(h, j, 2), 2)
         assert op_norm(dense) == pytest.approx(0.5 + 1.5 + 0.25, abs=1e-12)
 
-    def test_callable_coefficients(self):
-        terms = universal_aqc_terms({(0, "x"): lambda s: 2 * s}, {}, 1, s=0.25)
-        assert terms == [(0.5, PauliString.from_letters("X"))]
-
     def test_preset_shapes(self):
         h0f, h1f, h0p, h1p = universal_2local_preset(2)
         assert set(h0f) == {(0, "x"), (1, "x")}
@@ -273,7 +263,7 @@ class TestLinearDecoherence:
         spec = two_level_spec()
         bath = linear_decoherence(1, 1, 0.1, seed=7)
         beta = beta_system_bath(spec, bath.h_b)
-        beta_s = max(op_norm(h_ad(spec, s)) for s in np.linspace(0, 1, 21))
+        beta_s = max(op_norm(spec.interpolate(s)) for s in np.linspace(0, 1, 21))
         assert beta <= beta_s + op_norm(bath.h_b) + 1e-12
 
 

@@ -4,16 +4,34 @@ import numpy as np
 import pytest
 
 from aqc_shield.codes import global_x_group, trivial_group, universal_group
+from aqc_shield.engine import protected_hamiltonian
 from aqc_shield.linalg import expm_hermitian, op_norm
+from aqc_shield.model import AdiabaticSpec, linear_decoherence
 from aqc_shield.pauli import PauliString, to_dense
 from aqc_shield.protocols import (
     ScalingRule,
-    control_hamiltonian,
     pdd_schedule,
     pulse_generator,
     scaled_parameters,
     slot_index,
 )
+
+
+def control_generator(schedule):
+    """The generator the integrator propagates for the uncoupled twin of a
+    2-qubit model under ``schedule``; H_C(t) is its piece at t minus piece 0."""
+    spec = AdiabaticSpec(
+        n=2,
+        h0_terms=[(-1.0, PauliString.from_letters("XI")), (-1.0, PauliString.from_letters("IX"))],
+        h1_terms=[(-0.5, PauliString.from_letters("ZZ"))],
+        total_time=schedule.total_time,
+    )
+    bath = linear_decoherence(2, 1, 0.1, seed=5)
+    return protected_hamiltonian(spec, bath, schedule, include_coupling=False)
+
+
+def control_at(gen, t):
+    return gen.pieces[gen.piece_at(t)] - gen.pieces[0]
 
 
 class TestPddSchedule:
@@ -34,9 +52,9 @@ class TestPddSchedule:
         assert schedule.cycle_time == pytest.approx(4 * 0.35)
 
     def test_ideal_limit_has_zero_control(self):
-        schedule = pdd_schedule(universal_group(2), 0.2, 0.0, 2)
-        for t in np.linspace(0, schedule.total_time, 17):
-            assert np.count_nonzero(control_hamiltonian(schedule, float(t))) == 0
+        # w = 0: no window pieces, so the generator carries no control
+        gen = control_generator(pdd_schedule(universal_group(2), 0.2, 0.0, 2))
+        assert len(gen.pieces) == 1 and gen.piece_at is None
 
     def test_pulse_widths_validated(self):
         g = universal_group(2)
@@ -84,28 +102,29 @@ class TestPulseGenerator:
 
 class TestControlHamiltonian:
     def test_free_interval_is_zero(self):
-        schedule = pdd_schedule(universal_group(2), 0.2, 0.05, 2)
-        assert np.count_nonzero(control_hamiltonian(schedule, 0.1)) == 0
+        gen = control_generator(pdd_schedule(universal_group(2), 0.2, 0.05, 2))
+        assert np.count_nonzero(control_at(gen, 0.1)) == 0
 
     def test_window_matches_slot_generator(self):
         schedule = pdd_schedule(universal_group(2), 0.2, 0.05, 2)
-        h = control_hamiltonian(schedule, 0.22)
-        expected = pulse_generator(schedule.pulses[0], 0.05)
-        assert np.array_equal(h, expected)
+        gen = control_generator(schedule)
+        for k, p in enumerate(schedule.pulses):
+            t = k * schedule.slot_time + 0.22
+            expected = pulse_generator(p, 0.05)
+            assert np.max(np.abs(control_at(gen, t) - expected)) <= 1e-12
 
     def test_periodicity(self, rng):
         schedule = pdd_schedule(universal_group(2), 0.2, 0.05, 4)
+        gen = control_generator(schedule)
         t_c = schedule.cycle_time
         for _ in range(100):
             t = float(rng.uniform(0, schedule.total_time - t_c))
-            h1 = control_hamiltonian(schedule, t)
-            h2 = control_hamiltonian(schedule, t + t_c)
-            assert np.max(np.abs(h1 - h2)) <= 1e-12
+            assert np.array_equal(control_at(gen, t), control_at(gen, t + t_c))
 
     def test_out_of_range(self):
         schedule = pdd_schedule(universal_group(2), 0.2, 0.0, 1)
         with pytest.raises(ValueError, match="outside"):
-            control_hamiltonian(schedule, schedule.total_time + 1.0)
+            slot_index(schedule, schedule.total_time + 1.0)
 
     def test_slot_index_window_edges(self):
         schedule = pdd_schedule(global_x_group(1), 0.2, 0.05, 2)
