@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import real_if_exact
+from .model import dense_terms
 from .pauli import PauliString, apply_pauli, commutes, pauli_mul, to_dense
 
 
@@ -253,26 +254,23 @@ def penalty_hamiltonian(group: DecouplingGroup, ep: float) -> np.ndarray:
     """Dense energy-penalty term -E_P * sum of the non-identity group elements.
 
     Elements enter with phase canonicalized to +1, so the result is
-    Hermitian.  The canonicalized set must itself be a genuine (phase +1)
-    group, otherwise the code space is not the bottom of the spectrum and
-    the penalty semantics are wrong; the universal group on n = 2 (mod 4)
-    qubits fails this and is rejected.
+    Hermitian, and through :func:`~aqc_shield.model.dense_terms`, so it is
+    float64 when every element is real.  The canonicalized set must itself
+    be a genuine (phase +1) group, otherwise the code space is not the
+    bottom of the spectrum and the penalty semantics are wrong; the
+    universal group on n = 2 (mod 4) qubits fails this and is rejected.
     """
     if ep < 0:
         raise ValueError(f"penalty strength must be nonnegative, got {ep}")
-    dim = 1 << group.n
     if ep == 0:
-        return np.zeros((dim, dim), dtype=complex)
+        return np.zeros((1 << group.n,) * 2, dtype=complex)
     if not _is_phase_closed(group.elements):
         raise ValueError(
             "phase-canonicalized elements do not form a stabilizer group; "
             "penalty term is only defined for genuine stabilizer groups "
             "(for global-string groups this requires n = 0 mod 4)"
         )
-    h = np.zeros((dim, dim), dtype=complex)
-    for g in group.elements[1:]:
-        h -= ep * to_dense(g.canonical())
-    return h
+    return dense_terms([(-ep, g.canonical()) for g in group.elements[1:]], group.n)
 
 
 def erred_state_energy(group: DecouplingGroup, error: PauliString) -> tuple[float, int]:

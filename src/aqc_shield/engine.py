@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pauli import to_dense
+from .pauli import PauliString, signed_permutation
 from .linalg import (
     dagger,
     expm_hermitian,
@@ -86,6 +86,9 @@ _WORD_LENGTHS = np.array([1, 1, *(len(w) for w, _, _ in _COMMUTATOR_WORDS)])
 # tol 1e-2 and in 1 at 3e-3 (by 25x), and in none at 1e-3 or 1e-4.
 MAX_TOLERANCE = 1e-3
 
+# The cap on the trial steps of one propagation, accepted and rejected together.
+MAX_STEPS = 400_000
+
 BATH_STATES = ("maximally-mixed", "ground")
 
 
@@ -104,13 +107,11 @@ class IntegratorConfig:
     ``tol`` is the total propagator error budget in the operator norm,
     distributed over steps proportionally to their length: a step of
     length dt is accepted once its error value is within tol * dt / T.
-    ``max_steps`` caps the trial steps of one propagation, accepted and
-    rejected together.  ``tol`` above :data:`MAX_TOLERANCE` is refused,
-    since the error estimate is not trustworthy there.
+    ``tol`` above :data:`MAX_TOLERANCE` is refused, since the error
+    estimate is not trustworthy there.
     """
 
     tol: float = 1e-10
-    max_steps: int = 400_000
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -180,7 +181,7 @@ def propagate_with_stats(
     total_time: float,
     cfg: IntegratorConfig | None = None,
     breakpoints: tuple[float, ...] = (),
-    kicks: tuple[tuple[float, np.ndarray], ...] = (),
+    kicks: tuple[tuple[float, PauliString], ...] = (),
 ) -> tuple[np.ndarray, dict]:
     """Time-ordered propagator of a piecewise-affine Hermitian generator,
     and the integrator statistics.
@@ -188,13 +189,14 @@ def propagate_with_stats(
     ``breakpoints`` mark the edges where ``h_of_t`` switches piece (pulse
     edges); integration steps are aligned so no step straddles one, and
     each segment between edges takes the piece ``h_of_t.piece_at`` gives
-    its midpoint.  ``kicks`` are (time, unitary) pairs applied
-    instantaneously once evolution reaches that time, in list order for
-    coinciding times.  Each kick must be monomial (one nonzero entry per row
-    and column, as a Pauli string is) and is applied as the row gather
-    ``phase[:, None] * u[perm]``, which equals ``kick @ u``; any other kick
-    raises ``ValueError`` before the first step.  The generator is read
-    through its fields only.
+    its midpoint.  ``kicks`` are (time, pulse) pairs: a Pauli-string pulse
+    P on n qubits acts instantaneously as P (x) I, the identity filling the
+    trailing d / 2^n of the dimension, once evolution reaches that time, in
+    list order for coinciding times.  Each distinct pulse is lifted once,
+    from :func:`~aqc_shield.pauli.signed_permutation`, to the row gather
+    ``phase[:, None] * u[perm]`` (which equals ``(P (x) I) @ u``); a pulse
+    whose 2^n does not divide d raises ``ValueError`` before the first
+    step.  The generator is read through its fields only.
 
     Each trial step forms the sixth-order Magnus exponent Omega6 and its
     embedded eighth-order companion Omega8 on the four Gauss-Legendre nodes
@@ -212,7 +214,7 @@ def propagate_with_stats(
 
     ``steps`` counts the exponentials taken, one per accepted step, and
     ``rejected`` the trials retried at a smaller size, which take no
-    exponential; ``cfg.max_steps`` caps both together.  ``segments``
+    exponential; :data:`MAX_STEPS` caps both together.  ``segments``
     counts the integrated segments.  ``floored`` counts the accepted steps
     whose share tol * dt / T fell below the 64-eps floor and was raised to
     it.  ``error_estimate`` sums err over the accepted steps, so it is at
@@ -227,13 +229,13 @@ def propagate_with_stats(
     u = np.eye(dim, dtype=complex)
     if total_time == 0:
         return u, stats
-    gathers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    gathers: dict[PauliString, tuple[np.ndarray, np.ndarray]] = {}
     kicks_at: dict[float, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for kt, mat in kicks:
+    for kt, pulse in kicks:
         if 0.0 <= kt <= total_time:
-            if id(mat) not in gathers:
-                gathers[id(mat)] = _monomial_gather(mat)
-            kicks_at.setdefault(kt, []).append(gathers[id(mat)])
+            if pulse not in gathers:
+                gathers[pulse] = _lifted_gather(pulse, dim)
+            kicks_at.setdefault(kt, []).append(gathers[pulse])
     edges = {0.0, total_time, *kicks_at}
     edges.update(b for b in breakpoints if 0.0 < b < total_time)
     ordered = sorted(edges)
@@ -249,10 +251,10 @@ def propagate_with_stats(
             stacks[piece] = _commutator_stack(h_of_t.pieces[piece], h_of_t.q)
         t = a
         while b - t > 1e-15 * max(1.0, total_time):
-            if stats["steps"] + stats["rejected"] >= cfg.max_steps:
+            if stats["steps"] + stats["rejected"] >= MAX_STEPS:
                 raise StepLimitError(
                     f"step at t={t:g} of segment [{a:g}, {b:g}] needs more than "
-                    f"{cfg.max_steps} trial steps to reach tolerance {cfg.tol:.2e}"
+                    f"{MAX_STEPS} trial steps to reach tolerance {cfg.tol:.2e}"
                 )
             step = min(dt, b - t)
             omega6, tail = _magnus86_trial(stacks[piece], h_of_t.f, t, step)
@@ -277,14 +279,14 @@ def propagate_with_stats(
     return u, stats
 
 
-def _monomial_gather(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, phase) with mat @ u == phase[:, None] * u[perm] for a monomial
-    ``mat``: row i holds its one nonzero entry phase[i] in column perm[i]."""
-    nonzero = mat != 0
-    if not (np.all(nonzero.sum(axis=1) == 1) and np.all(nonzero.sum(axis=0) == 1)):
-        raise ValueError("kick is not a monomial (signed-permutation) matrix")
-    perm = np.argmax(nonzero, axis=1)
-    return perm, mat[np.arange(len(perm)), perm]
+def _lifted_gather(pulse: PauliString, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, phase) of P (x) I on ``dim`` = 2^n * b: row s * b + j of the
+    lift takes P's phase[s] from column perm[s] * b + j."""
+    if dim % (1 << pulse.n):
+        raise ValueError(f"pulse {pulse} on {pulse.n} qubits does not divide dimension {dim}")
+    b = dim >> pulse.n
+    perm, phase = signed_permutation(pulse)
+    return (perm[:, None] * b + np.arange(b)).ravel(), np.repeat(phase, b)
 
 
 def _commutator_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -485,14 +487,12 @@ def schedule_breakpoints(schedule: PulseSchedule, until: float | None = None) ->
     return tuple(edges)
 
 
-def schedule_kicks(schedule: PulseSchedule, bath_dim: int) -> tuple[tuple[float, np.ndarray], ...]:
-    """Ideal-pulse kick unitaries at slot ends (w = 0 only)."""
+def schedule_kicks(schedule: PulseSchedule) -> tuple[tuple[float, PauliString], ...]:
+    """Ideal-pulse kicks at slot ends (w = 0 only), as (time, pulse) pairs."""
     if schedule.w > 0:
         return ()
-    eye_b = np.eye(bath_dim)
-    mats = [np.kron(to_dense(p), eye_b) for p in schedule.pulses]
     return tuple(
-        ((k + 1) * schedule.slot_time, mats[k % schedule.order])
+        ((k + 1) * schedule.slot_time, schedule.pulses[k % schedule.order])
         for k in range(schedule.total_pulses)
     )
 
@@ -593,13 +593,13 @@ def run_protected(
     # The twin's generator is H_sys(t) (x) I + I (x) H_B with commuting
     # parts, so its propagator is U_sys (x) exp(-i H_B T): propagate at 2^n.
     h_sys = protected_hamiltonian(spec, bath, schedule, include_coupling=False)
-    u_sys, stats = propagate_with_stats(h_sys, total, cfg, breakpoints, schedule_kicks(schedule, 1))
+    kicks = schedule_kicks(schedule)
+    u_sys, stats = propagate_with_stats(h_sys, total, cfg, breakpoints, kicks)
     twin = artifacts(np.kron(u_sys, expm_hermitian(bath.h_b, total)), stats, coupled=False)
     if not np.any(bath.h_sb):
         # Zero coupling: the coupled run is the twin; it propagated nothing.
         coupled_stats = dict(stats, steps=0, rejected=0, segments=0, floored=0, coupled=True)
         return replace(twin, diagnostics=coupled_stats), twin
     h = protected_hamiltonian(spec, bath, schedule, include_coupling=True)
-    kicks = schedule_kicks(schedule, bath.bath_dim)
     u_total, stats = propagate_with_stats(h, total, cfg, breakpoints, kicks)
     return artifacts(u_total, stats, coupled=True), twin

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pauli import MAX_DENSE_QUBITS, PauliString, dense_entries, to_dense
+from .pauli import MAX_DENSE_QUBITS, PauliString, signed_permutation, to_dense
 from .linalg import op_norm, real_if_exact, require_hermitian
 
 _TWO_PI = 2 * math.pi
@@ -139,19 +139,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def dense_terms(terms: TermList, n: int) -> np.ndarray:
     """Dense sum of a coefficient/Pauli term list on n qubits.
 
-    Each term's :func:`dense_entries` are added into one accumulator, with
-    no dense temporary per term.  The result is float64 when its imaginary
-    part is exactly zero and complex otherwise.
+    Each term's :func:`signed_permutation` entries, one per row, are added
+    into one accumulator, with no dense temporary per term.  The result is
+    float64 when its imaginary part is exactly zero and complex otherwise.
     """
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense conversion of {n} qubits exceeds the cap of {MAX_DENSE_QUBITS}")
-    dim = 1 << n
-    h = np.zeros((dim, dim), dtype=complex)
+    rows = np.arange(1 << n)
+    h = np.zeros((rows.size, rows.size), dtype=complex)
     for coeff, term in terms:
         if term.n != n:
             raise ValueError(f"term {term} does not act on {n} qubits")
-        rows, cols, values = dense_entries(term)
-        h[rows, cols] += coeff * values
+        perm, phase = signed_permutation(term)
+        h[rows, perm] += coeff * phase
     return real_if_exact(h)
 
 
@@ -217,18 +217,12 @@ def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _random_two_local(rng: np.random.Generator, n_b: int) -> np.ndarray:
-    """Random Hermitian built from 1- and 2-site Pauli terms with Gaussian weights."""
-    dim = 1 << n_b
-    h = np.zeros((dim, dim), dtype=complex)
-    for site in range(n_b):
-        for letter in "XYZ":
-            h += rng.standard_normal() * to_dense(PauliString.single(n_b, site, letter))
-    for a, b in itertools.combinations(range(n_b), 2):
-        for la in "XYZ":
-            for lb in "XYZ":
-                pair = PauliString.single(n_b, a, la) * PauliString.single(n_b, b, lb)
-                h += rng.standard_normal() * to_dense(pair)
-    return h
+    """Random Hermitian built from 1- and 2-site Pauli terms with Gaussian
+    weights, drawn in term order: every single-site term, then every pair."""
+    singles = [PauliString.single(n_b, site, letter) for site in range(n_b) for letter in "XYZ"]
+    pairs = [PauliString.single(n_b, a, la) * PauliString.single(n_b, b, lb)
+             for a, b in itertools.combinations(range(n_b), 2) for la in "XYZ" for lb in "XYZ"]
+    return dense_terms([(rng.standard_normal(), p) for p in singles + pairs], n_b)
 
 
 def linear_decoherence(

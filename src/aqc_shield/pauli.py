@@ -139,11 +139,14 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     return odd == 0
 
 
-def _signed_permutation(p: PauliString) -> tuple[np.ndarray, int, np.ndarray]:
-    """(idx, flip, amp) with ``p |idx> = amp[idx] |idx ^ flip>`` on basis states.
+def signed_permutation(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, phase) with ``p @ x == phase[:, None] * x[perm]``: row i of
+    ``p``'s dense matrix holds its one nonzero entry phase[i] in column
+    perm[i].
 
-    X and Y letters permute basis indices (bit flips); Y and Z letters
-    contribute signs, and each Y a factor of i.
+    X and Y letters flip bits of the basis index; Y and Z letters contribute
+    signs, and each Y a factor of i.  This is the one place that derives a
+    Pauli string's permutation and phases.
     """
     n = p.n
     flip = 0
@@ -157,41 +160,33 @@ def _signed_permutation(p: PauliString) -> tuple[np.ndarray, int, np.ndarray]:
             sign_mask |= bit
         if c == "Y":
             n_y += 1
-    idx = np.arange(1 << n)
-    parity = np.zeros(idx.size, dtype=np.int64)
-    masked = idx & sign_mask
+    perm = np.arange(1 << n) ^ flip
+    parity = np.zeros(perm.size, dtype=np.int64)
+    masked = perm & sign_mask
     while np.any(masked):
         parity ^= masked & 1
         masked >>= 1
-    amp = p.phase * (1j) ** n_y * np.where(parity, -1.0, 1.0)
-    return idx, flip, amp
-
-
-def dense_entries(p: PauliString) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, values) of the nonzero entries of ``p``'s dense matrix,
-    one signed entry per column."""
-    idx, flip, amp = _signed_permutation(p)
-    return idx ^ flip, idx, amp
+    phase = p.phase * (1j) ** n_y * np.where(parity, -1.0, 1.0)
+    return perm, phase
 
 
 def to_dense(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n matrix of ``p`` (phase included), written directly
-    from :func:`dense_entries` rather than by a kron chain."""
+    from :func:`signed_permutation` rather than by a kron chain."""
     if p.n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense conversion of {p.n} qubits exceeds the cap of {MAX_DENSE_QUBITS}")
-    rows, cols, values = dense_entries(p)
-    mat = np.zeros((cols.size, cols.size), dtype=complex)
-    mat[rows, cols] = values
+    perm, phase = signed_permutation(p)
+    mat = np.zeros((perm.size, perm.size), dtype=complex)
+    mat[np.arange(perm.size), perm] = phase
     return mat
 
 
 def apply_pauli(p: PauliString, vec: np.ndarray) -> np.ndarray:
     """Apply ``p`` to a state vector, or to every row of a (..., 2^n) stack of
-    them, by the signed permutation of ``to_dense``, without forming the
-    dense matrix.  The result is complex."""
+    them, as the gather of :func:`signed_permutation` on the last axis,
+    without forming the dense matrix.  The result is complex."""
     dim = 1 << p.n
     if vec.ndim < 1 or vec.shape[-1] != dim:
         raise ValueError(f"state dimension {vec.shape} does not match 2^{p.n}")
-    idx, flip, amp = _signed_permutation(p)
-    # flip is an involution: entry i of p|v> is amp[i ^ flip] v[i ^ flip]
-    return (amp * vec)[..., idx ^ flip]
+    perm, phase = signed_permutation(p)
+    return phase * vec[..., perm]

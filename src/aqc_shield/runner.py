@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codes, engine, metrics, model, protocols
-from .config import ConfigError, ExperimentConfig, SweepSpec, apply_override, parse_terms
+from .config import (ConfigError, ExperimentConfig, SweepSpec, apply_override, parse_terms,
+                     validate_config)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -190,13 +191,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[m
 
 
 def sweep_points(sweep: SweepSpec) -> list[ExperimentConfig]:
-    """Cross product of the sweep axes, in deterministic order (last axis fastest)."""
+    """Cross product of the sweep axes, in deterministic order (last axis
+    fastest).  Each point is validated once all its axis values are applied:
+    an invalid one raises ``ConfigError``, naming its index and axis values."""
     configs = []
-    value_lists = [values for _, values in sweep.axes]
-    for combo in itertools.product(*value_lists):
+    for index, combo in enumerate(itertools.product(*(values for _, values in sweep.axes))):
         cfg = sweep.base
         for (path, _), value in zip(sweep.axes, combo):
             cfg = apply_override(cfg, path, value)
+        try:
+            validate_config(cfg)
+        except ConfigError as exc:
+            axes = ", ".join(f"{path} = {value:g}" for (path, _), value in zip(sweep.axes, combo))
+            raise ConfigError(f"sweep point {index} ({axes}): {exc}") from None
         configs.append(cfg)
     return configs
 
@@ -216,8 +223,10 @@ def run_sweep(
 ) -> list[tuple[int, str, tuple | None]]:
     """Run every sweep point; write one CSV row per point in axis order.
 
-    Individual failures are recorded in the status column and do not stop
-    the sweep.  The output is identical for any parallelism level.
+    A point that fails config validation stops the sweep before any point
+    runs (:func:`sweep_points`).  Failures while running are recorded in
+    the status column and do not stop the sweep.  The output is identical
+    for any parallelism level.
     """
     configs = sweep_points(sweep)
     jobs = list(enumerate(configs))

@@ -390,7 +390,7 @@ def check_magnus_ratio() -> float:
         )
         h = engine.protected_hamiltonian(spec, bath_zero, schedule)
         u_total, _ = engine.propagate_with_stats(h, schedule.total_time,
-                                                 kicks=engine.schedule_kicks(schedule, 2))
+                                                 kicks=engine.schedule_kicks(schedule))
         u_frame = engine.frame_unitary(spec, bath_zero, schedule)
         h_eff, _ = engine.effective_hamiltonian(
             linalg.dagger(u_frame) @ u_total, schedule.total_time)

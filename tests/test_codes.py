@@ -67,20 +67,6 @@ class TestGroupAverage:
         zz = to_dense(PauliString.from_letters("ZZ"))
         assert np.allclose(group_average(g, zz), zz, atol=1e-12)
 
-    def test_projector_idempotent(self, rng):
-        g = universal_group(4)
-        a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        once = group_average(g, a)
-        assert np.max(np.abs(group_average(g, once) - once)) <= 1e-12
-
-    def test_output_commutes_with_group(self, rng):
-        g = universal_group(4)
-        a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        avg = group_average(g, a)
-        for el in g.elements:
-            d = to_dense(el)
-            assert np.linalg.norm(avg @ d - d @ avg, 2) <= 1e-12
-
 
 class TestCodeConstruction:
     def test_golden_codewords_n4(self):
@@ -236,6 +222,16 @@ class TestPenalty:
     def test_two_element_group_allowed(self):
         h_p = penalty_hamiltonian(global_x_group(2), 0.5)
         assert np.allclose(h_p, -0.5 * to_dense(PauliString.from_letters("XX")))
+
+    def test_real_and_equal_to_the_per_element_sum(self):
+        # the universal group on n = 4 has real canonical elements
+        ep, group = 0.7, universal_group(4)
+        ref = np.zeros((16, 16), dtype=complex)
+        for g in group.elements[1:]:
+            ref -= ep * to_dense(g.canonical())
+        h_p = penalty_hamiltonian(group, ep)
+        assert h_p.dtype == np.float64
+        assert np.array_equal(h_p, ref)
 
 
 class TestSyndromeSectors:

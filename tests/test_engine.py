@@ -107,45 +107,45 @@ class TestPropagate:
         assert op_norm(u_lift - np.kron(ref, eye)) <= tol
 
     def test_kicks_applied_in_order(self):
-        x = to_dense(PauliString.from_letters("X"))
-        z = to_dense(PauliString.from_letters("Z"))
+        x, z = (PauliString.from_letters(c) for c in "XZ")
         zero = np.zeros((2, 2))
         u = propagate_with_stats(affine(zero), 1.0, kicks=((0.5, x), (1.0, z)))[0]
-        assert np.allclose(u, z @ x)
+        assert np.allclose(u, to_dense(z) @ to_dense(x))
 
     def test_coinciding_kicks_applied_in_list_order(self):
-        x = to_dense(PauliString.from_letters("X"))
-        y = to_dense(PauliString.from_letters("Y"))
-        z = to_dense(PauliString.from_letters("Z"))
+        x, y, z = (PauliString.from_letters(c) for c in "XYZ")
         zero = np.zeros((2, 2))
         kicks = ((0.5, x), (1.0, y), (0.5, z))
         u = propagate_with_stats(affine(zero), 1.0, kicks=kicks)[0]
-        assert np.allclose(u, y @ z @ x)
+        assert np.allclose(u, to_dense(y) @ to_dense(z) @ to_dense(x))
 
     def test_lifted_pulse_kicks_equal_dense_products(self, rng):
-        # every kick of a d = 64 run (n = 4 system (x) n_b = 2 bath), gathered
+        # every pulse of a d = 64 run (n = 4 system (x) n_b = 2 bath),
+        # gathered, against its dense lift P (x) I_4
         schedule = pdd_schedule(universal_group(4), 0.25, 0.0, 1)
-        kicks = schedule_kicks(schedule, 4)
-        for _, kick in kicks:
-            perm, phase = engine._monomial_gather(kick)
+        kicks = schedule_kicks(schedule)
+        lifted = {p: np.kron(to_dense(p), np.eye(4)) for _, p in kicks}
+        for pulse, dense in lifted.items():
+            perm, phase = engine._lifted_gather(pulse, 64)
             u = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-            assert np.array_equal(phase[:, None] * u[perm], kick @ u)
+            assert np.array_equal(phase[:, None] * u[perm], dense @ u)
         zero = np.zeros((64, 64))
         generator = AffineGenerator((zero,), zero, lambda t: 0.0)
         u = propagate_with_stats(generator, schedule.total_time, kicks=kicks)[0]
         expected = np.eye(64, dtype=complex)
-        for _, kick in kicks:
-            expected = kick @ expected
+        for _, pulse in kicks:
+            expected = lifted[pulse] @ expected
         assert np.array_equal(u, expected)
 
-    def test_non_monomial_kick_refused_before_any_step(self, monkeypatch):
+    def test_indivisible_pulse_refused_before_any_step(self, monkeypatch):
+        # a 1-qubit pulse cannot act on a d = 3 generator as P (x) I
         def no_step(*args, **kwargs):
             raise AssertionError("a trial step was taken")
 
         monkeypatch.setattr(engine, "_magnus86_trial", no_step)
-        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-        with pytest.raises(ValueError, match="monomial"):
-            propagate_with_stats(affine(np.eye(2)), 1.0, kicks=((0.5, hadamard),))
+        kicks = ((0.5, PauliString.from_letters("X")),)
+        with pytest.raises(ValueError, match="does not divide dimension 3"):
+            propagate_with_stats(affine(np.eye(3)), 1.0, kicks=kicks)
 
     def test_zero_time(self):
         u = propagate_with_stats(affine(np.eye(2, dtype=complex)), 0.0)[0]
@@ -186,10 +186,11 @@ class TestPropagate:
         assert 0 < tight["floored"] <= tight["steps"]
         assert loose["floored"] == 0 and loose["error_estimate"] <= 1e-8
 
-    def test_step_cap(self, rng):
+    def test_step_cap(self, rng, monkeypatch):
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 2)
-        cfg = IntegratorConfig(tol=1e-14, max_steps=8)
+        monkeypatch.setattr(engine, "MAX_STEPS", 8)
+        cfg = IntegratorConfig(tol=1e-14)
         with pytest.raises(engine.StepLimitError):
             propagate_with_stats(affine(a, b, lambda t: math.sin(40 * t)), 5.0, cfg)
 
@@ -252,7 +253,8 @@ class TestMagnus6:
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 2)
         calls = self.counting_expm(monkeypatch)
-        cfg = IntegratorConfig(tol=1e-14, max_steps=3)
+        monkeypatch.setattr(engine, "MAX_STEPS", 3)
+        cfg = IntegratorConfig(tol=1e-14)
         with pytest.raises(engine.StepLimitError):
             propagate_with_stats(affine(a, b, lambda t: math.sin(40 * t)), 5.0, cfg)
         assert calls == []
@@ -388,7 +390,7 @@ def joint_twin_propagator(spec, bath, schedule, tol):
     )
     u, _ = propagate_with_stats(gen, total, IntegratorConfig(tol=tol),
                                 breakpoints=schedule_breakpoints(schedule),
-                                kicks=schedule_kicks(schedule, bath.bath_dim))
+                                kicks=schedule_kicks(schedule))
     return u
 
 
@@ -525,7 +527,7 @@ class TestInteractionFrame:
         bath = linear_decoherence(1, 1, 0.0, seed=2)
         h = protected_hamiltonian(spec, bath, schedule)
         u_total, _ = propagate_with_stats(h, 2.0, breakpoints=schedule_breakpoints(schedule),
-                                          kicks=schedule_kicks(schedule, 2))
+                                          kicks=schedule_kicks(schedule))
         u_tilde = dagger(frame_unitary(spec, bath, schedule)) @ u_total
         assert op_norm(u_tilde - np.eye(4)) <= 1e-9
 

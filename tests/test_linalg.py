@@ -36,13 +36,6 @@ class TestNorms:
         assert op_norm(a) == pytest.approx(3.0)
         assert trace_norm(a) == pytest.approx(4.0)
 
-    def test_commutator_trace_norm_inequality(self, rng):
-        for _ in range(30):
-            d = int(rng.integers(2, 9))
-            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            lhs = trace_norm(a @ b - b @ a)
-            assert lhs <= 2 * op_norm(a) * trace_norm(b) + 1e-9
 
 
 class TestExpm:
@@ -124,14 +117,6 @@ class TestLogm:
     def test_branch_error_at_pi(self):
         with pytest.raises(BranchCutError):
             logm_unitary(-np.eye(2, dtype=complex))
-
-    def test_roundtrip_random(self, rng):
-        for _ in range(15):
-            d = int(rng.integers(2, 9))
-            h = random_hermitian(rng, d)
-            h *= (math.pi - 0.1) * float(rng.uniform(0.05, 1.0)) / op_norm(h)
-            rec = logm_unitary(expm_hermitian(h, 1.0))
-            assert np.max(np.abs(rec - h)) <= 1e-10
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -250,6 +251,25 @@ class TestLinearDecoherence:
         assert np.array_equal(a.h_b, b.h_b)
         for (ta, fa), (tb, fb) in zip(a.couplings, b.couplings):
             assert ta == tb and np.array_equal(fa, fb)
+
+    def test_bath_hamiltonian_equals_per_term_loop(self):
+        # h_b summed term by term in dense form, with the weights drawn in
+        # the same order after the 3n coupling factors
+        n, n_b, seed = 2, 3, 5
+        rng = np.random.default_rng(seed)
+        for _ in range(3 * n):
+            model._random_hermitian(rng, 1 << n_b)
+        ref = np.zeros((1 << n_b, 1 << n_b), dtype=complex)
+        for site in range(n_b):
+            for letter in "XYZ":
+                ref += rng.standard_normal() * to_dense(PauliString.single(n_b, site, letter))
+        for a, b in itertools.combinations(range(n_b), 2):
+            for la in "XYZ":
+                for lb in "XYZ":
+                    pair = PauliString.single(n_b, a, la) * PauliString.single(n_b, b, lb)
+                    ref += rng.standard_normal() * to_dense(pair)
+        ref = ref * (1.0 / op_norm(ref))
+        assert np.array_equal(linear_decoherence(n, n_b, 0.2, seed=seed).h_b, ref)
 
     def test_zero_coupling(self):
         bath = linear_decoherence(2, 1, 0.0, seed=0)

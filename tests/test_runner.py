@@ -210,13 +210,14 @@ class TestSweep:
         assert serial == parallel
 
     def test_point_failure_recorded(self, tmp_path, capsys):
-        base = quick_cfg(tmp_path)
-        spec = SweepSpec(base=base, axes=[("model.beta_b", [1.0, -1.0])])
+        # w = tau passes config validation; the schedule build refuses it
+        base = quick_cfg(tmp_path, protocol__tau=0.5)
+        spec = SweepSpec(base=base, axes=[("protocol.w", [0.0, 0.5])])
         rows = runner.run_sweep(spec)
         assert rows[0][1] == "ok"
         assert rows[1] == (1, "error:ValueError", None)
         err = capsys.readouterr().err
-        assert "sweep point 1: ValueError: bath norm must be nonnegative, got -1.0" in err
+        assert "sweep point 1: ValueError: pulse width w=0.5 >= interval tau=0.5" in err
         text = (tmp_path / "run_sweep.csv").read_text().strip().split("\n")
         assert len(text) == 3
 
@@ -272,6 +273,26 @@ class TestCli:
         assert cli.main(["sweep", str(path), "--parallel", "2"]) == 0
         lines = (tmp_path / "out" / "run_sweep.csv").read_text().strip().split("\n")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("axis, good, bad, message", [
+        ("run.alpha", 1.0, -2.0, "run.alpha must be nonnegative"),
+        ("model.beta_b", 1.0, -1.0, "model.beta_b must be nonnegative"),
+        ("protocol.tau", 0.25, 0.0, "protocol.tau must be positive"),
+    ], ids=["run.alpha", "model.beta_b", "protocol.tau"])
+    def test_sweep_refuses_invalid_point_before_any_runs(self, tmp_path, capsys, monkeypatch,
+                                                         axis, good, bad, message):
+        def no_run(cfg):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(runner, "execute_experiment", no_run)
+        path = tmp_path / "sweep.cfg"
+        path.write_text(QUICK.format(out=tmp_path / "out")
+                        + f"\n[sweep]\nmodel.j = 0.05, 0.1\n{axis} = {good}, {bad}\n")
+        assert cli.main(["sweep", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert (f"configuration error: sweep point 1 (model.j = 0.05, {axis} = {bad:g}): "
+                f"{message}") in err
+        assert not (tmp_path / "out").exists()
 
     def test_gap_subcommand(self, tmp_path):
         path = tmp_path / "exp.cfg"

@@ -1,0 +1,87 @@
+"""SHA-256 of every output the benchmark workloads produce, one line per file.
+
+Usage, from the repository root:
+
+    python tools/output_digest.py > digests.txt
+
+Each ``perfbench/workloads/*.ini`` runs at bath seeds 1234, 1241 and 1248 in
+a temporary directory, through the CLI: ``simulate`` for the ``simulate_*``
+files (report CSV and JSON), ``sweep`` for ``sweep_nb1`` (sweep CSV) and
+``gap`` for ``gap_n8`` (gap CSV).  Each simulate configuration is also run
+through ``runner.execute_experiment``, and its coupled and twin ``u_total``
+and its closed final state are saved as ``.npy`` files.  A refactor that
+claims byte-identical outputs is checked by one ``diff`` of the listings of
+the two commits.  Logs go to standard error; nothing under ``perfbench/`` is
+written.
+"""
+
+from __future__ import annotations
+
+import configparser
+import glob
+import hashlib
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from aqc_shield import cli, config, runner  # noqa: E402
+
+BATH_SEEDS = (1234, 1241, 1248)
+
+
+def _command(name: str) -> str:
+    for prefix in ("sweep", "gap"):
+        if name.startswith(prefix):
+            return prefix
+    return "simulate"
+
+
+def _write_ini(source: str, seed: int, out_dir: str) -> str:
+    """``source`` with ``model.seed`` and the output directory set."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read(source, encoding="utf-8")
+    parser["model"]["seed"] = str(seed)
+    parser["output"]["out_dir"] = out_dir
+    path = out_dir + ".ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    return path
+
+
+def _save_run_states(path: str, out_dir: str) -> None:
+    result = runner.execute_experiment(config.load_config(path))
+    arrays = {
+        "coupled_u_total": result.coupled.u_total,
+        "twin_u_total": result.uncoupled.u_total,
+        "closed_psi_final": result.closed.psi_final,
+    }
+    for label, array in arrays.items():
+        np.save(os.path.join(out_dir, f"{label}.npy"), array)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for source in sorted(glob.glob(os.path.join(ROOT, "perfbench", "workloads", "*.ini"))):
+            name = os.path.splitext(os.path.basename(source))[0]
+            command = _command(name)
+            for seed in BATH_SEEDS:
+                out_dir = os.path.join(tmp, f"{name}-{seed}")
+                path = _write_ini(source, seed, out_dir)
+                code = cli.main([command, path])
+                print(f"{name} seed {seed}: {command} exit {code}", file=sys.stderr)
+                if command == "simulate":
+                    _save_run_states(path, out_dir)
+        for path in sorted(glob.glob(os.path.join(tmp, "*", "*"))):
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            print(f"{digest}  {os.path.relpath(path, tmp)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
