@@ -27,7 +27,7 @@ import numpy as np
 
 from .linalg import real_if_exact
 from .model import dense_terms
-from .pauli import PauliString, apply_pauli, commutes, pauli_mul, to_dense
+from .pauli import PauliString, apply_pauli, commutes, pauli_mul, signed_permutation, to_dense
 
 
 @dataclass(frozen=True)
@@ -131,18 +131,22 @@ def group_average(group: DecouplingGroup, a: np.ndarray) -> np.ndarray:
 
     This is the first-order effect of a full decoupling cycle, the leading
     Magnus term; it projects onto the commutant of the group algebra.  An
-    operator on system (x) bath, of dimension 2^n times the bath's, is
-    averaged with every element lifted by the identity on the bath.
+    operator on system (x) bath, of dimension 2^n times the bath's b, is
+    averaged with every element lifted as G (x) I_b.  With G's involutive
+    :func:`~aqc_shield.pauli.signed_permutation` and q = phase[perm], each
+    conjugate gathers the system axes of A viewed as (2^n, b, 2^n, b):
+    (G^dag A G)[i, k] = conj(q[i]) A[perm[i], perm[k]] q[k].
     """
     dim_s = 1 << group.n
     if a.shape[0] % dim_s != 0:
         raise ValueError(f"dimension {a.shape[0]} is not a multiple of 2^{group.n}")
-    eye_b = np.eye(a.shape[0] // dim_s)
-    acc = np.zeros_like(a, dtype=complex)
+    a4 = a.reshape(dim_s, a.shape[0] // dim_s, dim_s, -1)
+    acc = np.zeros(a4.shape, dtype=complex)
     for g in group.elements:
-        d = np.kron(to_dense(g), eye_b)
-        acc += d.conj().T @ a @ d
-    return acc / group.order
+        perm, phase = signed_permutation(g)
+        q = phase[perm]
+        acc += q.conj()[:, None, None, None] * a4[perm][:, :, perm] * q[:, None]
+    return acc.reshape(a.shape) / group.order
 
 
 def _is_phase_closed(elements: tuple[PauliString, ...]) -> bool:

@@ -14,9 +14,10 @@ the norm the trace-distance bounds use
 (||U rho U^dag - V rho V^dag||_1 <= 2 ||U - V||).  Steps never cross a
 pulse edge: the schedule supplies breakpoints, and in the ideal-pulse limit
 w = 0 the pulses are applied as exact unitary kicks between free segments
-rather than as narrow windows.  Every kick is a Pauli string (x) I, a
-signed permutation, so it is applied as a row gather in O(d^2) rather than
-as a dense product.
+rather than as narrow windows.  Every kick is a Pauli string P (x) I, so
+it is applied as P's own signed permutation gathering the leading system
+axis of a (2^n, d / 2^n) view of the propagator's rows, in O(d^2) rather
+than as a dense product.
 
 Three canonical runs share one integrator: the coupled run under the full
 Hamiltonian, the uncoupled twin with the system-bath term deleted but
@@ -192,11 +193,12 @@ def propagate_with_stats(
     its midpoint.  ``kicks`` are (time, pulse) pairs: a Pauli-string pulse
     P on n qubits acts instantaneously as P (x) I, the identity filling the
     trailing d / 2^n of the dimension, once evolution reaches that time, in
-    list order for coinciding times.  Each distinct pulse is lifted once,
-    from :func:`~aqc_shield.pauli.signed_permutation`, to the row gather
-    ``phase[:, None] * u[perm]`` (which equals ``(P (x) I) @ u``); a pulse
-    whose 2^n does not divide d raises ``ValueError`` before the first
-    step.  The generator is read through its fields only.
+    list order for coinciding times.  Each distinct pulse's
+    :func:`~aqc_shield.pauli.signed_permutation` (perm, phase) is taken
+    once; with u's rows viewed as (2^n, d / 2^n), ``phase[:, None] *
+    u_view[perm]`` equals ``(P (x) I) @ u``.  A pulse whose 2^n does not
+    divide d raises ``ValueError`` before the first step.  The generator is
+    read through its fields only.
 
     Each trial step forms the sixth-order Magnus exponent Omega6 and its
     embedded eighth-order companion Omega8 on the four Gauss-Legendre nodes
@@ -234,7 +236,11 @@ def propagate_with_stats(
     for kt, pulse in kicks:
         if 0.0 <= kt <= total_time:
             if pulse not in gathers:
-                gathers[pulse] = _lifted_gather(pulse, dim)
+                if dim % (1 << pulse.n):
+                    raise ValueError(
+                        f"pulse {pulse} on {pulse.n} qubits does not divide dimension {dim}"
+                    )
+                gathers[pulse] = signed_permutation(pulse)
             kicks_at.setdefault(kt, []).append(gathers[pulse])
     edges = {0.0, total_time, *kicks_at}
     edges.update(b for b in breakpoints if 0.0 < b < total_time)
@@ -243,7 +249,7 @@ def propagate_with_stats(
     stacks: dict[int, np.ndarray] = {}
 
     for perm, phase in kicks_at.get(0.0, ()):
-        u = phase[:, None] * u[perm]
+        u = (phase[:, None] * u.reshape(perm.size, -1)[perm]).reshape(dim, dim)
     dt = ordered[1]
     for a, b in zip(ordered[:-1], ordered[1:]):
         piece = 0 if h_of_t.piece_at is None else h_of_t.piece_at(0.5 * (a + b))
@@ -275,18 +281,8 @@ def propagate_with_stats(
         if t > a:
             stats["segments"] += 1
         for perm, phase in kicks_at.get(b, ()):
-            u = phase[:, None] * u[perm]
+            u = (phase[:, None] * u.reshape(perm.size, -1)[perm]).reshape(dim, dim)
     return u, stats
-
-
-def _lifted_gather(pulse: PauliString, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, phase) of P (x) I on ``dim`` = 2^n * b: row s * b + j of the
-    lift takes P's phase[s] from column perm[s] * b + j."""
-    if dim % (1 << pulse.n):
-        raise ValueError(f"pulse {pulse} on {pulse.n} qubits does not divide dimension {dim}")
-    b = dim >> pulse.n
-    perm, phase = signed_permutation(pulse)
-    return (perm[:, None] * b + np.arange(b)).ravel(), np.repeat(phase, b)
 
 
 def _commutator_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -374,16 +370,23 @@ def instantaneous_ground_state(spec: AdiabaticSpec, s: float) -> np.ndarray:
     phase is fixed by making the largest-magnitude amplitude real and
     positive, so repeated calls are deterministic.
     """
-    evals, vecs = np.linalg.eigh(spec.interpolate(s, *spec.code_pair))
-    if len(evals) > 1 and evals[1] - evals[0] < 1e-12:
-        raise DegenerateGroundStateError(
-            f"ground level degenerate at s={s} (splitting {evals[1] - evals[0]:.2e})"
-        )
+    vec = _ground_vector(spec.interpolate(s, *spec.code_pair), f"at s={s}")
     basis = spec.code_basis
-    psi = vecs[:, 0] if basis is None else basis @ vecs[:, 0]
+    psi = vec if basis is None else basis @ vec
     idx = int(np.argmax(np.abs(psi)))
     psi = psi * np.exp(-1j * np.angle(psi[idx]))
     return psi
+
+
+def _ground_vector(h: np.ndarray, where: str) -> np.ndarray:
+    """Lowest eigenvector of Hermitian ``h``; a ground level split by less
+    than 1e-12 raises :class:`DegenerateGroundStateError`."""
+    evals, vecs = np.linalg.eigh(h)
+    if len(evals) > 1 and evals[1] - evals[0] < 1e-12:
+        raise DegenerateGroundStateError(
+            f"ground level degenerate {where} (splitting {evals[1] - evals[0]:.2e})"
+        )
+    return vecs[:, 0]
 
 
 def run_closed_adiabatic(spec: AdiabaticSpec, cfg: IntegratorConfig | None = None) -> ClosedRun:
@@ -540,8 +543,7 @@ def _bath_initial_state(bath: SystemBathSpec, kind: str) -> np.ndarray:
     if kind == "maximally-mixed":
         return np.eye(bath.bath_dim, dtype=complex) / bath.bath_dim
     if kind == "ground":
-        _, vecs = np.linalg.eigh(bath.h_b)
-        v = vecs[:, 0]
+        v = _ground_vector(bath.h_b, "of the bath Hamiltonian")
         return np.outer(v, v.conj())
     raise ValueError(f"unknown bath state {kind!r}; choose from {BATH_STATES}")
 
@@ -558,6 +560,8 @@ def run_protected(
     Both start from (ground state of H(0)) (x) (bath initial state); the
     twin differs only by deletion of the system-bath term.  Each artifact
     carries the error phase of its interaction-frame effective Hamiltonian.
+    A ``"ground"`` bath state whose H_B ground level is degenerate raises
+    :class:`DegenerateGroundStateError` before any propagation.
     """
     cfg = cfg or IntegratorConfig()
     n = spec.n

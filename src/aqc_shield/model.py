@@ -3,8 +3,9 @@ AQC family, the linear-decoherence system-bath model, and spectral gaps.
 
 Conventions: s = t/T is dimensionless time, H(s) = (1-f(s)) H0 + f(s) H1,
 and term lists are ``(coefficient, PauliString)`` pairs with real
-coefficients.  All energies are expressed in units of the base scale
-delta0 = 1 unless stated otherwise.
+coefficients; :func:`dense_terms` also takes b x b operator coefficients,
+the bath factors of the system-bath coupling.  All energies are expressed
+in units of the base scale delta0 = 1 unless stated otherwise.
 
 Dtypes: a dense Hamiltonian built from a term list is float64 when its Pauli
 terms are real (X and Z letters, or an even number of Y letters per string)
@@ -21,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pauli import MAX_DENSE_QUBITS, PauliString, signed_permutation, to_dense
+from .pauli import MAX_DENSE_QUBITS, PauliString, signed_permutation
 from .linalg import op_norm, real_if_exact, require_hermitian
 
 _TWO_PI = 2 * math.pi
@@ -137,22 +138,29 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def dense_terms(terms: TermList, n: int) -> np.ndarray:
-    """Dense sum of a coefficient/Pauli term list on n qubits.
+    """Dense sum of P (x) c over a coefficient/Pauli term list on n qubits.
 
-    Each term's :func:`signed_permutation` entries, one per row, are added
-    into one accumulator, with no dense temporary per term.  The result is
-    float64 when its imaginary part is exactly zero and complex otherwise.
+    The coefficients c are all real scalars (b = 1) or all b x b arrays, such
+    as the bath factors of a coupling; the result has dimension 2^n * b.
+    Each term's :func:`signed_permutation` entries, one b x b block per row,
+    are added into one accumulator in term order, with no dense temporary
+    per term.  The result is float64 when its imaginary part is exactly
+    zero and complex otherwise.
     """
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense conversion of {n} qubits exceeds the cap of {MAX_DENSE_QUBITS}")
+    block = np.shape(terms[0][0]) if terms else ()
+    b = block[0] if block else 1
     rows = np.arange(1 << n)
-    h = np.zeros((rows.size, rows.size), dtype=complex)
+    h = np.zeros((rows.size, b, rows.size, b), dtype=complex)
     for coeff, term in terms:
         if term.n != n:
             raise ValueError(f"term {term} does not act on {n} qubits")
+        if np.shape(coeff) != block:
+            raise ValueError(f"coefficient shape {np.shape(coeff)} differs from the first term's")
         perm, phase = signed_permutation(term)
-        h[rows, perm] += coeff * phase
-    return real_if_exact(h)
+        h[rows, :, perm, :] += phase[:, None, None] * coeff
+    return real_if_exact(h.reshape(rows.size * b, rows.size * b))
 
 
 def universal_aqc_terms(
@@ -193,18 +201,14 @@ def _validate_alpha(alpha: str) -> str:
 class SystemBathSpec:
     """Linear-decoherence coupling sum_j,a sigma_j^a (x) B_j^a plus a bath Hamiltonian.
 
-    ``h_sb`` is the assembled dense coupling on the joint system (x) bath
-    space, rescaled so its operator norm equals ``j_coupling``.
+    ``h_b`` is the bath Hamiltonian on the 2^n_b bath space, and ``h_sb`` the
+    assembled dense coupling on the joint system (x) bath space.
     """
 
     n: int
     n_b: int
-    couplings: tuple[tuple[PauliString, np.ndarray], ...]
     h_b: np.ndarray
     h_sb: np.ndarray
-    j_coupling: float
-    beta_b: float
-    seed: int
 
     @property
     def bath_dim(self) -> int:
@@ -234,7 +238,7 @@ def linear_decoherence(
     its own random Hermitian bath factor; the assembled coupling is globally
     rescaled so its operator norm is exactly ``j_coupling``.  The bath
     Hamiltonian is a random 2-local Hermitian rescaled to ``beta_b``.
-    ``j_coupling = 0`` yields identically zero coupling factors.
+    ``j_coupling = 0`` yields an identically zero coupling.
     """
     if n < 1 or n_b < 1:
         raise ValueError("need at least one system and one bath qubit")
@@ -243,34 +247,18 @@ def linear_decoherence(
     if beta_b < 0:
         raise ValueError(f"bath norm must be nonnegative, got {beta_b}")
     rng = np.random.default_rng(seed)
-    bath_dim = 1 << n_b
-    factors = []
-    for alpha in "xyz":
-        for site in range(n):
-            factors.append(
-                (PauliString.single(n, site, alpha.upper()), _random_hermitian(rng, bath_dim))
-            )
+    factors = [
+        (_random_hermitian(rng, 1 << n_b), PauliString.single(n, site, alpha))
+        for alpha in "XYZ" for site in range(n)
+    ]
     h_b = _random_two_local(rng, n_b)
     norm_b = op_norm(h_b)
     if norm_b > 0:
         h_b = h_b * (beta_b / norm_b)
-    joint_dim = (1 << n) * bath_dim
-    h_sb = np.zeros((joint_dim, joint_dim), dtype=complex)
-    for term, factor in factors:
-        h_sb += np.kron(to_dense(term), factor)
+    h_sb = dense_terms(factors, n)
     raw_norm = op_norm(h_sb)
     scale = j_coupling / raw_norm if raw_norm > 0 else 0.0
-    couplings = tuple((term, factor * scale) for term, factor in factors)
-    return SystemBathSpec(
-        n=n,
-        n_b=n_b,
-        couplings=couplings,
-        h_b=h_b,
-        h_sb=h_sb * scale,
-        j_coupling=j_coupling,
-        beta_b=beta_b,
-        seed=seed,
-    )
+    return SystemBathSpec(n=n, n_b=n_b, h_b=h_b, h_sb=h_sb * scale)
 
 
 @dataclass(frozen=True)

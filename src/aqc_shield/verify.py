@@ -177,10 +177,11 @@ def check_universal_annihilation() -> float:
     worst = 0.0
     for n in (2, 4):
         g = codes.universal_group(n)
-        for seed in range(10):
-            bath = model.linear_decoherence(n, 1, 1.0, seed=seed)
-            avg = codes.group_average(g, bath.h_sb)
-            worst = max(worst, linalg.op_norm(avg))
+        for n_b in (1, 2):
+            for seed in range(10):
+                bath = model.linear_decoherence(n, n_b, 1.0, seed=seed)
+                avg = codes.group_average(g, bath.h_sb)
+                worst = max(worst, linalg.op_norm(avg))
     return 1e-12 - worst
 
 
@@ -380,7 +381,7 @@ def check_uncoupled_matches_closed() -> float:
 def check_magnus_ratio() -> float:
     group = codes.global_x_group(2)
     bath = model.linear_decoherence(2, 1, 0.5, seed=3)
-    bath_zero = replace(bath, h_b=np.zeros_like(bath.h_b), beta_b=0.0)
+    bath_zero = replace(bath, h_b=np.zeros_like(bath.h_b))
     target = codes.group_average(group, bath.h_sb)
     errors = []
     for tau in (0.2, 0.1, 0.05):

@@ -67,6 +67,19 @@ class TestGroupAverage:
         zz = to_dense(PauliString.from_letters("ZZ"))
         assert np.allclose(group_average(g, zz), zz, atol=1e-12)
 
+    def test_equals_dense_kron_reference(self, rng):
+        # each element lifted densely as G (x) I_b and conjugated by products
+        for n in (2, 4):
+            for b in (1, 2, 4):
+                d = (1 << n) * b
+                a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                for group in (universal_group(n), global_x_group(n), trivial_group(n)):
+                    ref = np.zeros((d, d), dtype=complex)
+                    for g in group.elements:
+                        lift = np.kron(to_dense(g), np.eye(b))
+                        ref += lift.conj().T @ a @ lift
+                    assert np.array_equal(group_average(group, a), ref / group.order)
+
 
 class TestCodeConstruction:
     def test_golden_codewords_n4(self):

@@ -28,7 +28,7 @@ from aqc_shield.engine import (
     schedule_breakpoints,
     schedule_kicks,
 )
-from aqc_shield.linalg import dagger, expm_hermitian, op_norm
+from aqc_shield.linalg import dagger, expm_hermitian, op_norm, partial_trace
 from aqc_shield.metrics import trace_distance
 from aqc_shield.model import AdiabaticSpec, Schedule, linear_decoherence
 from aqc_shield.pauli import PauliString, to_dense
@@ -119,18 +119,18 @@ class TestPropagate:
         u = propagate_with_stats(affine(zero), 1.0, kicks=kicks)[0]
         assert np.allclose(u, to_dense(y) @ to_dense(z) @ to_dense(x))
 
-    def test_lifted_pulse_kicks_equal_dense_products(self, rng):
-        # every pulse of a d = 64 run (n = 4 system (x) n_b = 2 bath),
-        # gathered, against its dense lift P (x) I_4
+    def test_lifted_pulse_kicks_equal_dense_products(self):
+        # every pulse of a d = 64 run (n = 4 system (x) n_b = 2 bath), as
+        # one kick of a zero generator and over the whole schedule, against
+        # its dense lift P (x) I_4
         schedule = pdd_schedule(universal_group(4), 0.25, 0.0, 1)
         kicks = schedule_kicks(schedule)
         lifted = {p: np.kron(to_dense(p), np.eye(4)) for _, p in kicks}
-        for pulse, dense in lifted.items():
-            perm, phase = engine._lifted_gather(pulse, 64)
-            u = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-            assert np.array_equal(phase[:, None] * u[perm], dense @ u)
         zero = np.zeros((64, 64))
         generator = AffineGenerator((zero,), zero, lambda t: 0.0)
+        for pulse, dense in lifted.items():
+            u = propagate_with_stats(generator, 1.0, kicks=((0.0, pulse),))[0]
+            assert np.array_equal(u, dense)
         u = propagate_with_stats(generator, schedule.total_time, kicks=kicks)[0]
         expected = np.eye(64, dtype=complex)
         for _, pulse in kicks:
@@ -411,6 +411,15 @@ class TestRunProtected:
         assert coupled.diagnostics["rejected"] == 0
         assert uncoupled.diagnostics["steps"] > 0
         assert coupled.diagnostics["error_estimate"] == uncoupled.diagnostics["error_estimate"]
+
+    def test_ground_bath_state_is_lowest_eigenvector(self):
+        spec, bath, schedule, _, _ = quick_protected(j=0.0, n_b=2)
+        _, twin = run_protected(spec, bath, schedule, bath_state="ground",
+                                cfg=IntegratorConfig(tol=1e-9))
+        u = twin.u_total
+        rho_b0 = partial_trace(dagger(u) @ twin.rho_final @ u, (16, 4), (1,))
+        v = np.linalg.eigh(bath.h_b)[1][:, 0]
+        assert np.max(np.abs(rho_b0 - np.outer(v, v.conj()))) <= 1e-12
 
     def test_error_estimate_within_budget(self):
         # T = 2 over 8 slots: each segment's share tol/8 is far above 64 eps

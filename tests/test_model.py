@@ -203,6 +203,11 @@ class TestDenseTerms:
             dense_terms([(1.0, PauliString.from_letters("XX"))], 3)
         with pytest.raises(ValueError, match="cap"):
             dense_terms([], 13)
+        # scalar and b x b operator coefficients do not mix
+        x, z = PauliString.from_letters("X"), PauliString.from_letters("Z")
+        for terms in ([(1.0, x), (np.eye(2), z)], [(np.eye(2), x), (1.0, z)]):
+            with pytest.raises(ValueError, match="differs from the first term's"):
+                dense_terms(terms, 1)
 
 
 class TestUniversalTerms:
@@ -234,10 +239,16 @@ class TestUniversalTerms:
 
 class TestLinearDecoherence:
     def test_term_count_n1(self):
+        # B_a = Tr_S[(sigma^a (x) I) H_SB] / 2 is nonzero exactly for a = X, Y, Z
         bath = linear_decoherence(1, 1, 0.5, seed=0)
-        assert len(bath.couplings) == 3
-        letters = {term.letters for term, _ in bath.couplings}
-        assert letters == {"X", "Y", "Z"}
+        h4 = bath.h_sb.reshape(2, 2, 2, 2)
+        rebuilt = np.zeros_like(bath.h_sb)
+        for letter in "IXYZ":
+            sigma = to_dense(PauliString.from_letters(letter))
+            factor = np.einsum("ts,sjtk->jk", sigma, h4) / 2
+            assert np.any(np.abs(factor) > 1e-3) == (letter != "I")
+            rebuilt += np.kron(sigma, factor)
+        assert np.allclose(rebuilt, bath.h_sb, atol=1e-14)
 
     def test_norm_rescaled_to_j(self):
         for j in (0.05, 1.0, 3.0):
@@ -249,8 +260,6 @@ class TestLinearDecoherence:
         b = linear_decoherence(2, 1, 0.3, seed=42)
         assert np.array_equal(a.h_sb, b.h_sb)
         assert np.array_equal(a.h_b, b.h_b)
-        for (ta, fa), (tb, fb) in zip(a.couplings, b.couplings):
-            assert ta == tb and np.array_equal(fa, fb)
 
     def test_bath_hamiltonian_equals_per_term_loop(self):
         # h_b summed term by term in dense form, with the weights drawn in
@@ -270,6 +279,20 @@ class TestLinearDecoherence:
                     ref += rng.standard_normal() * to_dense(pair)
         ref = ref * (1.0 / op_norm(ref))
         assert np.array_equal(linear_decoherence(n, n_b, 0.2, seed=seed).h_b, ref)
+
+    @pytest.mark.parametrize("n, n_b", [(1, 1), (2, 2), (4, 2)])
+    def test_coupling_equals_per_term_kron_loop(self, n, n_b):
+        # h_sb summed term by term as dense krons, with the factors drawn
+        # first, in x, y, z then site order
+        seed, j = 9, 0.3
+        rng = np.random.default_rng(seed)
+        ref = np.zeros(((1 << n + n_b),) * 2, dtype=complex)
+        for letter in "XYZ":
+            for site in range(n):
+                factor = model._random_hermitian(rng, 1 << n_b)
+                ref += np.kron(to_dense(PauliString.single(n, site, letter)), factor)
+        ref = ref * (j / op_norm(ref))
+        assert np.array_equal(linear_decoherence(n, n_b, j, seed=seed).h_sb, ref)
 
     def test_zero_coupling(self):
         bath = linear_decoherence(2, 1, 0.0, seed=0)

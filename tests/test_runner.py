@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from aqc_shield import cli, codes, metrics, model, runner, verify
+from aqc_shield import cli, codes, engine, metrics, model, runner, verify
 from aqc_shield.config import ExperimentConfig, SweepSpec, loads_config
 
 QUICK = """
@@ -244,6 +244,22 @@ class TestCli:
         path.write_text(QUICK.format(out=tmp_path / "o2")
                         .replace("total_time = 2.0", "total_time = 8.0"))
         assert cli.main(["simulate", str(path)]) == 2
+
+    def test_simulate_refuses_degenerate_bath_ground(self, tmp_path, capsys, monkeypatch):
+        # beta_b = 0 makes H_B = 0, so the bath has no unique ground state:
+        # refused before any propagation starts
+        def no_propagation(*args, **kwargs):
+            raise AssertionError("a propagation was started")
+
+        monkeypatch.setattr(engine, "propagate_with_stats", no_propagation)
+        path = tmp_path / "exp.cfg"
+        path.write_text(QUICK.format(out=tmp_path / "out")
+                        .replace("j = 0.1", "j = 0.1\nbeta_b = 0")
+                        .replace("tolerance = 1e-8", "tolerance = 1e-8\nbath_state = ground"))
+        assert cli.main(["simulate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "DegenerateGroundStateError: ground level degenerate of the bath" in err
+        assert not (tmp_path / "out").exists()
 
     def test_simulate_invalid_config(self, tmp_path):
         path = tmp_path / "broken.cfg"

@@ -9,7 +9,9 @@ a temporary directory, through the CLI: ``simulate`` for the ``simulate_*``
 files (report CSV and JSON), ``sweep`` for ``sweep_nb1`` (sweep CSV) and
 ``gap`` for ``gap_n8`` (gap CSV).  Each simulate configuration is also run
 through ``runner.execute_experiment``, and its coupled and twin ``u_total``
-and its closed final state are saved as ``.npy`` files.  A refactor that
+and its closed final state are saved as ``.npy`` files, with the bath
+Hamiltonian ``h_b`` and the coupling ``h_sb`` that ``model.linear_decoherence``
+builds from the configuration.  A refactor that
 claims byte-identical outputs is checked by one ``diff`` of the listings of
 the two commits.  Logs go to standard error; nothing under ``perfbench/`` is
 written.
@@ -29,7 +31,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from aqc_shield import cli, config, runner  # noqa: E402
+from aqc_shield import cli, config, model, runner  # noqa: E402
 
 BATH_SEEDS = (1234, 1241, 1248)
 
@@ -54,11 +56,16 @@ def _write_ini(source: str, seed: int, out_dir: str) -> str:
 
 
 def _save_run_states(path: str, out_dir: str) -> None:
-    result = runner.execute_experiment(config.load_config(path))
+    cfg = config.load_config(path)
+    result = runner.execute_experiment(cfg)
+    m = cfg.model
+    bath = model.linear_decoherence(m.n, m.n_b, m.j, m.seed, beta_b=m.beta_b)
     arrays = {
         "coupled_u_total": result.coupled.u_total,
         "twin_u_total": result.uncoupled.u_total,
         "closed_psi_final": result.closed.psi_final,
+        "h_b": bath.h_b,
+        "h_sb": bath.h_sb,
     }
     for label, array in arrays.items():
         np.save(os.path.join(out_dir, f"{label}.npy"), array)
