@@ -322,6 +322,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         )
     if r.bath_state not in BATH_STATES:
         raise ConfigError(f"run.bath_state must be one of {BATH_STATES}")
+    if r.bath_state == "ground" and m.beta_b == 0:
+        raise ConfigError("run.bath_state = ground needs model.beta_b > 0: "
+                          "H_B = 0 has no unique ground state")
     if r.alpha < 0:
         raise ConfigError("run.alpha must be nonnegative: it scales a budget term")
     if m.h0 is not None:

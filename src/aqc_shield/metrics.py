@@ -39,6 +39,8 @@ CSV_COLUMNS = (
     "delta_ad", "d_D", "delta_S", "d_tot", "phi",
     "slack_eq3", "slack_eq5",
 )
+# Every float cell of the CSV outputs: 17 significant digits round-trip a float64.
+CELL_FORMAT = "%.17g"
 
 VERDICT_NAMES = ("monotonic", "triangle", "eq3", "eq5")
 
@@ -169,7 +171,7 @@ class ErrorReport:
 def format_number(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return f"{float(x):.17g}"
+    return CELL_FORMAT % float(x)
 
 
 def csv_header() -> str:

@@ -275,54 +275,80 @@ class SpectralReport:
 def min_gap(spec: AdiabaticSpec, grid_points: int = 101) -> SpectralReport:
     """Minimal gap E1(s) - E0(s) over s in [0, 1].
 
-    Dense Hermitian solves on a uniform grid, then a golden-section
-    refinement of the gap around the coarse minimum.  When
+    Dense Hermitian solves on a uniform grid, then a safeguarded Newton
+    iteration on gap'(s) = 0 inside the grid bracket of the coarse minimum
+    (:func:`_newton_min_gap`), one eigendecomposition per iteration.  When
     the ground level is degenerate (gap below 1e-12) somewhere, the report
     carries ``degenerate=True`` and the gap 0 at that point.
     """
     if grid_points < 2:
         raise ValueError("need at least two grid points")
     s_grid = np.linspace(0.0, 1.0, grid_points)
-
-    def levels(s: float) -> np.ndarray:
-        return np.linalg.eigvalsh(spec.interpolate(s, *spec.code_pair))
-
-    def gap_at(s: float) -> float:
-        e = levels(s)
-        return float(e[1] - e[0])
-
-    energies = np.array([levels(s) for s in s_grid])
+    h0, h1 = spec.code_pair
+    energies = np.array([np.linalg.eigvalsh(spec.interpolate(s, h0, h1)) for s in s_grid])
     gaps = energies[:, 1] - energies[:, 0]
     idx = int(np.argmin(gaps))
-    gap = float(gaps[idx])
-    s_star = float(s_grid[idx])
-    if gap < 1e-12:
-        return SpectralReport(s_grid, energies, 0.0, s_star, degenerate=True)
-    lo = s_grid[max(idx - 1, 0)]
-    hi = s_grid[min(idx + 1, grid_points - 1)]
-    s_star, gap = _golden_section(gap_at, lo, hi)
+    if gaps[idx] < 1e-12:
+        return SpectralReport(s_grid, energies, 0.0, float(s_grid[idx]), degenerate=True)
+    lo, hi = s_grid[max(idx - 1, 0)], s_grid[min(idx + 1, grid_points - 1)]
+    start = float(s_grid[idx])
+    if 0 < idx < grid_points - 1:
+        # vertex of the parabola through the three grid gaps around the minimum
+        g_lo, g_mid, g_hi = gaps[idx - 1:idx + 2]
+        curvature = g_lo - 2 * g_mid + g_hi
+        if curvature > 0:
+            start += (hi - lo) / 4 * (g_lo - g_hi) / curvature
+    s_star, gap = _newton_min_gap(spec, float(lo), float(hi), start)
     if gap < 1e-12:
         return SpectralReport(s_grid, energies, 0.0, s_star, degenerate=True)
     return SpectralReport(s_grid, energies, gap, s_star)
 
 
-def _golden_section(f: Callable[[float], float], a: float, b: float, xtol: float = 1e-8):
-    """Standard golden-section minimization on [a, b]."""
-    inv_phi = (np.sqrt(5) - 1) / 2
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
+def _newton_min_gap(spec: AdiabaticSpec, lo: float, hi: float, s: float) -> tuple[float, float]:
+    """(s*, gap(s*)) with gap'(s*) = 0 in [lo, hi], starting from s.
+
+    With Q = H1 - H0 on the code pair, (f, f', f'') the schedule and
+    (E_k, |k>) the eigenpairs of H(s), Hellmann-Feynman and second-order
+    perturbation theory give
+
+        gap'  = f' (Q11 - Q00)
+        gap'' = f'' (Q11 - Q00)
+                + 2 f'^2 [sum_{m!=1} |Q1m|^2/(E1-Em) - sum_{m!=0} |Q0m|^2/(E0-Em)].
+
+    Each iteration shrinks [lo, hi] on the sign of gap' and takes the Newton
+    step, or bisects when gap'' is not finite and positive (a level
+    degenerate with E0 or E1 makes the sums break), the step leaves the
+    bracket or it is not below half the previous step, so the loop ends.
+    It stops when gap' = 0 or the step is below 1e-13, and returns the gap
+    of the last eigendecomposition.
+    """
+    h0, h1 = spec.code_pair
+    q = h1 - h0
+    previous = hi - lo
+    while True:
+        e, v = np.linalg.eigh(spec.interpolate(s, h0, h1))
+        q_low = v.conj().T @ (q @ v[:, :2])  # columns <m|Q|0>, <m|Q|1>
+        weight = np.abs(q_low) ** 2
+        diag = q_low[0, 0].real, q_low[1, 1].real
+        _, df, ddf = schedule_eval(spec.schedule.kind, s)
+        slope = df * (diag[1] - diag[0])
+        if slope == 0:
+            break
+        if slope > 0:
+            hi = s
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-    x = (a + b) / 2
-    return float(x), float(f(x))
+            lo = s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sums = [np.sum(np.delete(weight[:, k] / (e[k] - e), k)) for k in (0, 1)]
+        curvature = ddf * (diag[1] - diag[0]) + 2 * df * df * (sums[1] - sums[0])
+        step = -slope / curvature if np.isfinite(curvature) and curvature > 0 else math.nan
+        if not (lo <= s + step <= hi and abs(step) <= previous / 2):
+            step = (lo + hi) / 2 - s
+        if abs(step) < 1e-13:
+            break
+        s += step
+        previous = abs(step)
+    return float(s), float(e[1] - e[0])
 
 
 def beta_system_bath(spec: AdiabaticSpec, h_b: np.ndarray) -> float:

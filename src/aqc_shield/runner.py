@@ -263,10 +263,11 @@ def write_gap_csv(cfg: ExperimentConfig, out_dir: str | None = None,
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{cfg.output.prefix}_gap.csv")
     levels = report.energies.shape[1]
+    row = ",".join([metrics.CELL_FORMAT] * (levels + 2)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("s," + ",".join(f"E{i}" for i in range(levels)) + ",gap\n")
-        for s, row in zip(report.s_grid.tolist(), report.energies.tolist()):
-            fh.write(",".join(map(metrics.format_number, (s, *row, row[1] - row[0]))) + "\n")
+        fh.writelines(row % (s, *e, e[1] - e[0])
+                      for s, e in zip(report.s_grid.tolist(), report.energies.tolist()))
     print(
         f"minimal gap {report.gap:.12g} at s*={report.s_star:.12g}"
         + (" (degenerate ground level)" if report.degenerate else ""),

@@ -285,15 +285,28 @@ def check_beta_inequality() -> float:
 
 
 def check_min_gap_two_level() -> float:
-    spec = model.AdiabaticSpec(
-        n=1,
-        h0_terms=[(1.0, pauli.PauliString.from_letters("X"))],
-        h1_terms=[(1.0, pauli.PauliString.from_letters("Z"))],
-        schedule=model.Schedule("linear"),
-        total_time=1.0,
-    )
-    report = model.min_gap(spec, grid_points=51)
-    return 1e-6 - abs(report.gap - math.sqrt(2)) - abs(report.s_star - 0.5)
+    """H0 = aX, H1 = Z: the gap 2 sqrt((1 - f)^2 a^2 + f^2) is least at
+    f(s*) = a^2/(1 + a^2), where it is 2a/sqrt(1 + a^2).  a^2 = 1 puts s* on
+    the 51-point grid, a^2 = 0.3 off it; s* and the gap must match to 1e-12
+    under the linear and the smooth-endpoint schedule."""
+    worst = 0.0
+    for a2 in (1.0, 0.3):
+        a = math.sqrt(a2)
+        for kind in ("linear", "smooth-endpoint"):
+            spec = model.AdiabaticSpec(
+                n=1,
+                h0_terms=[(a, pauli.PauliString.from_letters("X"))],
+                h1_terms=[(1.0, pauli.PauliString.from_letters("Z"))],
+                schedule=model.Schedule(kind),
+            )
+            report = model.min_gap(spec, grid_points=51)
+            lo, hi = 0.0, 1.0  # s* = f^-1(a^2/(1 + a^2)) by bisection
+            for _ in range(64):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if spec.schedule(mid) < a2 / (1 + a2) else (lo, mid)
+            worst = max(worst, abs(report.s_star - (lo + hi) / 2),
+                        abs(report.gap - 2 * a / math.sqrt(1 + a2)))
+    return 1e-12 - worst
 
 
 def check_cycle_identity() -> float:

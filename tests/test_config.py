@@ -146,6 +146,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="bath_state"):
             loads_config(MINIMAL + "\n[run]\nbath_state = warm\n")
 
+    def test_ground_bath_needs_nonzero_bath_norm(self):
+        # H_B = 0 leaves every bath vector a ground state
+        ground = "\n[run]\nbath_state = ground\n"
+        assert loads_config(MINIMAL + ground).run.bath_state == "ground"
+        assert loads_config(MINIMAL.replace("j = 0.1", "j = 0.1\nbeta_b = 0")).model.beta_b == 0
+        with pytest.raises(ConfigError, match="run.bath_state = ground needs model.beta_b > 0"):
+            loads_config(MINIMAL.replace("j = 0.1", "j = 0.1\nbeta_b = 0") + ground)
+
     def test_tolerance_above_trusted_range_rejected(self):
         assert loads_config(MINIMAL + "\n[run]\ntolerance = 1e-3\n").run.tolerance == 1e-3
         with pytest.raises(ConfigError, match="at most 0.001: above it the integrator"):

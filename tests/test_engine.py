@@ -412,6 +412,19 @@ class TestRunProtected:
         assert uncoupled.diagnostics["steps"] > 0
         assert coupled.diagnostics["error_estimate"] == uncoupled.diagnostics["error_estimate"]
 
+    def test_degenerate_ground_bath_refused_before_any_propagation(self, monkeypatch):
+        # beta_b = 0 makes H_B = 0, so the bath has no unique ground state
+        def no_propagation(*args, **kwargs):
+            raise AssertionError("a propagation was started")
+
+        spec = encoded_spec(2.0)
+        schedule = pdd_schedule(universal_group(4), 0.25, 0.0, 1)
+        spec = dataclasses.replace(spec, total_time=schedule.total_time)
+        bath = linear_decoherence(4, 1, 0.1, seed=7, beta_b=0.0)
+        monkeypatch.setattr(engine, "propagate_with_stats", no_propagation)
+        with pytest.raises(DegenerateGroundStateError, match="ground level degenerate of the bath"):
+            run_protected(spec, bath, schedule, bath_state="ground")
+
     def test_ground_bath_state_is_lowest_eigenvector(self):
         spec, bath, schedule, _, _ = quick_protected(j=0.0, n_b=2)
         _, twin = run_protected(spec, bath, schedule, bath_state="ground",

@@ -320,7 +320,11 @@ class TestMinGap:
             assert row[1] - row[0] == pytest.approx(
                 2 * math.sqrt((1 - s) ** 2 + s ** 2), abs=1e-12)
 
-    def test_constant_hamiltonian(self):
+    def test_constant_hamiltonian(self, monkeypatch):
+        # H0 = H1 makes gap' = 0 exactly: one eigendecomposition at the start
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(1) or eigh(h))
         spec = AdiabaticSpec(
             n=1,
             h0_terms=[(1.0, PauliString.from_letters("Z"))],
@@ -329,6 +333,37 @@ class TestMinGap:
         )
         report = min_gap(spec, grid_points=11)
         assert report.gap == pytest.approx(2.0, abs=1e-10)
+        assert (report.s_star, len(calls)) == (0.0, 1)
+
+    def test_degenerate_first_excited_pair(self):
+        # two identical qubits: levels -2r, 0, 0, 2r with r the one-qubit
+        # half gap, so E1 = E2 everywhere and the gap 2r is least at
+        # f = a^2/(1 + a^2), where it is 2a/sqrt(1 + a^2)
+        a2 = 0.3
+        a = math.sqrt(a2)
+        xs = [PauliString.from_letters(p) for p in ("XI", "IX")]
+        zs = [PauliString.from_letters(p) for p in ("ZI", "IZ")]
+        spec = AdiabaticSpec(n=2, h0_terms=[(-a, p) for p in xs], h1_terms=[(-1.0, p) for p in zs],
+                             schedule=Schedule("linear"))
+        report = min_gap(spec, grid_points=51)
+        assert np.max(np.abs(report.energies[:, 2] - report.energies[:, 1])) <= 1e-14
+        assert not report.degenerate
+        assert abs(report.s_star - a2 / (1 + a2)) <= 1e-12
+        assert abs(report.gap - 2 * a / math.sqrt(1 + a2)) <= 1e-12
+
+    def test_bisection_fallback_on_sharp_avoided_crossing(self):
+        # H(f) = -aX + (f - c)Z has gap 2 sqrt(a^2 + (f - c)^2), least at
+        # f = c; with a = 1e-3 the gap'' is tiny away from c, so the Newton
+        # steps from the 5-point grid bracket [0, 0.5] leave it and the
+        # refinement must bisect its way in
+        a, c = 1e-3, 0.3137
+        x = PauliString.from_letters("X")
+        z = PauliString.from_letters("Z")
+        spec = AdiabaticSpec(n=1, h0_terms=[(-a, x), (-c, z)], h1_terms=[(-a, x), (1 - c, z)],
+                             schedule=Schedule("linear"))
+        report = min_gap(spec, grid_points=5)
+        assert abs(report.s_star - c) <= 1e-12
+        assert abs(report.gap - 2 * a) <= 1e-12
 
     def test_grid_convergence(self):
         coarse = min_gap(two_level_spec("smooth-endpoint"), grid_points=51)

@@ -173,6 +173,19 @@ class TestOutputs:
         with open(path, encoding="utf-8", newline="") as fh:
             assert fh.read().split("\n")[1:] == rows + [""]
 
+    def test_encoded_n8_min_gap_refines_in_few_solves(self, tmp_path, monkeypatch):
+        # the 101 grid spectra, then at most 8 symmetric solves to pin s*
+        spec = runner.build_model(loads_config(ENCODED_N8.format(out=tmp_path))).spec
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda h, solver=solver: calls.append(h.shape) or solver(h))
+        report = model.min_gap(spec)
+        assert not report.degenerate and 0.39 < report.s_star < 0.41
+        assert len(calls) <= 101 + 8
+        assert set(calls) == {(64, 64)}
+
     def test_encoded_n8_model_is_real(self, tmp_path):
         # a complex code pair would double the cost of every gap-sweep solve
         spec = runner.build_model(loads_config(ENCODED_N8.format(out=tmp_path))).spec
@@ -247,7 +260,7 @@ class TestCli:
 
     def test_simulate_refuses_degenerate_bath_ground(self, tmp_path, capsys, monkeypatch):
         # beta_b = 0 makes H_B = 0, so the bath has no unique ground state:
-        # refused before any propagation starts
+        # refused by the configuration check, before any propagation starts
         def no_propagation(*args, **kwargs):
             raise AssertionError("a propagation was started")
 
@@ -258,7 +271,8 @@ class TestCli:
                         .replace("tolerance = 1e-8", "tolerance = 1e-8\nbath_state = ground"))
         assert cli.main(["simulate", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "DegenerateGroundStateError: ground level degenerate of the bath" in err
+        assert ("configuration error: run.bath_state = ground needs model.beta_b > 0: "
+                "H_B = 0 has no unique ground state") in err
         assert not (tmp_path / "out").exists()
 
     def test_simulate_invalid_config(self, tmp_path):
@@ -308,6 +322,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert (f"configuration error: sweep point 1 (model.j = 0.05, {axis} = {bad:g}): "
                 f"{message}") in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_refuses_degenerate_bath_ground_before_any_runs(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(runner, "execute_experiment", no_run)
+        path = tmp_path / "sweep.cfg"
+        path.write_text(QUICK.format(out=tmp_path / "out")
+                        .replace("tolerance = 1e-8", "tolerance = 1e-8\nbath_state = ground")
+                        + "\n[sweep]\nmodel.beta_b = 1.0, 0.0\n")
+        assert cli.main(["sweep", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert ("configuration error: sweep point 1 (model.beta_b = 0): "
+                "run.bath_state = ground needs model.beta_b > 0") in err
         assert not (tmp_path / "out").exists()
 
     def test_gap_subcommand(self, tmp_path):

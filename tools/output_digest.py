@@ -11,7 +11,9 @@ files (report CSV and JSON), ``sweep`` for ``sweep_nb1`` (sweep CSV) and
 through ``runner.execute_experiment``, and its coupled and twin ``u_total``
 and its closed final state are saved as ``.npy`` files, with the bath
 Hamiltonian ``h_b`` and the coupling ``h_sb`` that ``model.linear_decoherence``
-builds from the configuration.  A refactor that
+builds from the configuration.  After the digests, each ``gap`` run's summary
+line (``minimal gap ... at s*=...``), which goes to standard error and into no
+file, is printed as it stands.  A refactor that
 claims byte-identical outputs is checked by one ``diff`` of the listings of
 the two commits.  Logs go to standard error; nothing under ``perfbench/`` is
 written.
@@ -20,8 +22,10 @@ written.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import glob
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -72,6 +76,7 @@ def _save_run_states(path: str, out_dir: str) -> None:
 
 
 def main() -> int:
+    summaries = []
     with tempfile.TemporaryDirectory() as tmp:
         for source in sorted(glob.glob(os.path.join(ROOT, "perfbench", "workloads", "*.ini"))):
             name = os.path.splitext(os.path.basename(source))[0]
@@ -79,14 +84,22 @@ def main() -> int:
             for seed in BATH_SEEDS:
                 out_dir = os.path.join(tmp, f"{name}-{seed}")
                 path = _write_ini(source, seed, out_dir)
-                code = cli.main([command, path])
+                log = io.StringIO()
+                with contextlib.redirect_stderr(log):
+                    code = cli.main([command, path])
+                sys.stderr.write(log.getvalue())
                 print(f"{name} seed {seed}: {command} exit {code}", file=sys.stderr)
                 if command == "simulate":
                     _save_run_states(path, out_dir)
+                if command == "gap":
+                    summaries += [f"{name}-{seed}: {line}" for line in log.getvalue().splitlines()
+                                  if line.startswith("minimal gap")]
         for path in sorted(glob.glob(os.path.join(tmp, "*", "*"))):
             with open(path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             print(f"{digest}  {os.path.relpath(path, tmp)}")
+    for line in summaries:
+        print(line)
     return 0
 
 
