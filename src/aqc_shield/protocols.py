@@ -153,6 +153,9 @@ class ScalingRule:
             raise ValueError(f"epsilon2 must be positive, got {self.epsilon2}")
         if self.delta0 <= 0 or self.j_coupling <= 0:
             raise ValueError("delta0 and j_coupling must be positive")
+        if self.c_tau <= 0 or self.c_w < 0:
+            raise ValueError(f"c_tau must be positive and c_w nonnegative, "
+                             f"got {self.c_tau} and {self.c_w}")
         if self.z is not None:
             expected = (3 * self.z + 2, 2 * self.z + 1)
             if not any(abs(self.zeta - e) < 1e-12 for e in expected):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codes, engine, metrics, model, protocols
-from .config import (ConfigError, ExperimentConfig, SweepSpec, apply_override, parse_terms,
+from .config import (ConfigError, ExperimentConfig, SweepSpec, apply_override, build_parts,
                      validate_config)
 
 EXIT_OK = 0
@@ -48,79 +48,19 @@ class ExperimentResult:
         return EXIT_OK if self.report.all_bounds_hold else EXIT_BOUND_FAILED
 
 
-def _group_for(preset: str, n: int) -> codes.DecouplingGroup:
-    if preset == "universal":
-        return codes.universal_group(n)
-    if preset == "global-x":
-        return codes.global_x_group(n)
-    if preset == "none":
-        return codes.trivial_group(n)
-    raise ConfigError(f"unknown group preset {preset!r}")
-
-
-def _logical_terms(cfg: ExperimentConfig, k: int):
-    """(h0_terms, h1_terms) on k qubits from the preset or explicit lists."""
-    m = cfg.model
-    if m.preset == "universal-2local":
-        h0f, h1f, h0p, h1p = model.universal_2local_preset(k)
-        h0 = model.universal_aqc_terms(h0f, h0p, k)
-        h1 = model.universal_aqc_terms(h1f, h1p, k)
-        return h0, h1
-    h0 = parse_terms(m.h0, k, "model.h0")
-    h1 = parse_terms(m.h1, k, "model.h1")
-    return h0, h1
-
-
 def build_model(cfg: ExperimentConfig) -> BuiltModel:
-    """Construct the system side of an experiment (no bath) from its config."""
-    m, p, r = cfg.model, cfg.protocol, cfg.run
-    n = m.n
-    group = _group_for(p.group, n)
-
-    code_basis = None
-    if m.code:
-        code, _ = codes.code_from_universal_group(n)
-        code_basis = code.basis_matrix()
-        k = n - 2
-    else:
-        k = n
-    h0, h1 = _logical_terms(cfg, k)
-    if m.code:
-        h0 = codes.encode_hamiltonian(h0, n)
-        h1 = codes.encode_hamiltonian(h1, n)
-
-    scaling_rule = None
-    if p.uses_scaling_rule:
-        scaling_rule = protocols.ScalingRule(
-            zeta=p.zeta,
-            epsilon1=p.epsilon1,
-            epsilon2=p.epsilon2,
-            delta0=m.delta0,
-            j_coupling=m.j,
-            z=p.z,
-            c_tau=p.c_tau,
-            c_w=p.c_w,
-        )
-        tau, w, _, l_pulses = protocols.scaled_parameters(scaling_rule, n, group.order)
-        cycles = l_pulses // group.order
-    else:
-        tau = p.tau
-        w = p.w if p.w is not None else 0.0
-        if p.cycles is not None:
-            cycles = p.cycles
-        else:
-            cycles = max(1, round(p.total_time / (group.order * (tau + w))))
-    cycles *= r.r
-    schedule = protocols.pdd_schedule(group, tau, w, cycles)
-
+    """Construct the system side of an experiment (no bath) from its config:
+    :func:`config.build_parts` plus the code basis and the penalty."""
+    m = cfg.model
+    h0, h1, kind, schedule, scaling_rule = build_parts(cfg)
     spec = model.AdiabaticSpec(
-        n=n,
+        n=m.n,
         h0_terms=h0,
         h1_terms=h1,
-        schedule=model.Schedule(m.schedule),
+        schedule=kind,
         total_time=schedule.total_time,
-        code_basis=code_basis,
-        penalty=codes.penalty_hamiltonian(group, m.e_p) if m.e_p > 0 else None,
+        code_basis=codes.code_from_universal_group(m.n)[0].basis_matrix() if m.code else None,
+        penalty=codes.penalty_hamiltonian(schedule.group, m.e_p) if m.e_p > 0 else None,
         penalty_during_pulse=m.penalty_during_pulse,
     )
     return BuiltModel(spec=spec, schedule=schedule, scaling_rule=scaling_rule)

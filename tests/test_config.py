@@ -9,7 +9,6 @@ from aqc_shield.config import (
     load_sweep,
     loads_config,
     parse_terms,
-    serialize_config,
 )
 
 MINIMAL = """
@@ -22,10 +21,11 @@ tau = 0.25
 cycles = 4
 """
 
+# J = 1 keeps w below tau at this small n (w scales as 1/J)
 SCALING = """
 [model]
 n = 4
-j = 0.1
+j = 1
 
 [protocol]
 zeta = 1.0
@@ -159,6 +159,39 @@ class TestValidation:
         with pytest.raises(ConfigError, match="at most 0.001: above it the integrator"):
             loads_config(MINIMAL + "\n[run]\ntolerance = 2e-3\n")
 
+    @pytest.mark.parametrize("text, message", [
+        (MINIMAL.replace("cycles = 4", "cycles = 4\nw = 0.3"),
+         "pulse width w=0.3 >= interval tau=0.25"),
+        (SCALING.replace("epsilon1 = 1.5", "epsilon1 = 1.0"), "epsilon1 must exceed 1"),
+        (SCALING + "z = 3\n", "zeta=1.0 inconsistent with z=3.0"),
+        (SCALING + "c_tau = -1\n", "c_tau must be positive"),
+        (SCALING + "c_tau = 0\nc_w = 0\n", "c_tau must be positive"),
+        (MINIMAL.replace("j = 0.1", "j = 0.1\npreset =\nh0 = -1 YI\nh1 = -1 ZZ"),
+         "only X, Z, XX, ZZ terms have 2-local encodings"),
+        (MINIMAL.replace("j = 0.1", "j = 0.1\npreset =\nh0 = -1 XZ\nh1 = -1 ZZ"),
+         "only X, Z, XX, ZZ terms have 2-local encodings"),
+        (MINIMAL.replace("cycles = 4", "total_time = 4\nw = -0.25"),
+         "pulse width w must be nonnegative"),
+    ], ids=["w>=tau", "epsilon1=1", "z-inconsistent", "c_tau<0", "c_tau=c_w=0",
+            "encoded-YI", "encoded-XZ", "w=-tau"])
+    def test_builder_rules_refused_on_load(self, text, message):
+        # the schedule, scaling-rule and encoding builders run at load time
+        with pytest.raises(ConfigError, match=message):
+            loads_config(text)
+
+    @pytest.mark.parametrize("text, key", [
+        (MINIMAL + "\n[run]\ntolerance = nan\n", "run.tolerance"),
+        (MINIMAL.replace("j = 0.1", "j = nan"), "model.j"),
+        (MINIMAL.replace("j = 0.1", "j = inf"), "model.j"),
+        (MINIMAL.replace("n = 4", "n = nan"), "model.n"),
+        (MINIMAL.replace("j = 0.1", "j = 0.1\nseed = inf"), "model.seed"),
+        (MINIMAL.replace("j = 0.1", "j = 0.1\npreset =\nh0 = nan XI\nh1 = -1 ZZ"),
+         "model.h0"),
+    ], ids=["tolerance=nan", "j=nan", "j=inf", "n=nan", "seed=inf", "h0-coefficient=nan"])
+    def test_non_finite_number_refused(self, text, key):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            loads_config(text)
+
 
 class TestTermLists:
     def test_good_terms(self):
@@ -178,21 +211,6 @@ class TestTermLists:
     def test_bad_shape(self):
         with pytest.raises(ConfigError, match="coefficient letters"):
             parse_terms("1.0", 2, "model.h0")
-
-
-class TestRoundTrip:
-    def test_serialize_load_identity(self):
-        cfg = loads_config(MINIMAL)
-        again = loads_config(serialize_config(cfg))
-        assert again == cfg
-
-    def test_roundtrip_with_overrides(self):
-        cfg = loads_config(MINIMAL)
-        cfg.model.e_p = 0.5
-        cfg.model.n_b = 2
-        cfg.run.bath_state = "ground"
-        again = loads_config(serialize_config(cfg))
-        assert again == cfg
 
 
 class TestSweep:
@@ -225,6 +243,14 @@ class TestSweep:
         path = tmp_path / "bad4.cfg"
         path.write_text(MINIMAL + "\n[sweep]\nmodel.j = 0.1, abc\n")
         with pytest.raises(ConfigError, match=r"model\.j.*'abc'"):
+            load_sweep(str(path))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_axis_value(self, tmp_path, value):
+        path = tmp_path / "bad5.cfg"
+        path.write_text(MINIMAL + f"\n[sweep]\nmodel.j = 0.1, {value}\n")
+        with pytest.raises(ConfigError,
+                           match=rf"model\.j: expected a finite number, got '{value}'"):
             load_sweep(str(path))
 
     def test_empty_axis(self, tmp_path):

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aqc_shield import cli, codes, engine, metrics, model, runner, verify
-from aqc_shield.config import ExperimentConfig, SweepSpec, loads_config
+from aqc_shield.config import ExperimentConfig, SweepSpec, load_config, load_sweep, loads_config
+
+WORKLOADS = sorted((Path(__file__).parents[1] / "perfbench" / "workloads").glob("*.ini"))
 
 QUICK = """
 [model]
@@ -126,6 +129,18 @@ class TestExecute:
         assert result.report.slacks["eq3"] >= 0
 
 
+@pytest.mark.parametrize("path", WORKLOADS, ids=[p.stem for p in WORKLOADS])
+def test_shipped_workload_builds(path):
+    # validation may only refuse what the builders refuse: every shipped
+    # workload, and every point of a sweep, loads and builds
+    if path.stem.startswith("sweep"):
+        configs = runner.sweep_points(load_sweep(str(path)))
+    else:
+        configs = [load_config(str(path))]
+    for cfg in configs:
+        runner.build_model(cfg)
+
+
 class TestOutputs:
     def test_files_written_and_deterministic(self, tmp_path):
         cfg = quick_cfg(tmp_path / "a")
@@ -222,15 +237,21 @@ class TestSweep:
         parallel = (tmp_path / "parallel" / "run_sweep.csv").read_bytes()
         assert serial == parallel
 
-    def test_point_failure_recorded(self, tmp_path, capsys):
-        # w = tau passes config validation; the schedule build refuses it
-        base = quick_cfg(tmp_path, protocol__tau=0.5)
-        spec = SweepSpec(base=base, axes=[("protocol.w", [0.0, 0.5])])
-        rows = runner.run_sweep(spec)
+    def test_point_failure_recorded(self, tmp_path, capsys, monkeypatch):
+        # a point that passes validation and fails while it runs is recorded
+        original = runner.execute_experiment
+
+        def fail_at_quarter(cfg):
+            if cfg.protocol.tau == 0.25:
+                raise ValueError("integration failed at tau=0.25")
+            return original(cfg)
+
+        monkeypatch.setattr(runner, "execute_experiment", fail_at_quarter)
+        rows = runner.run_sweep(self.sweep_spec(tmp_path, taus=(0.5, 0.25)))
         assert rows[0][1] == "ok"
         assert rows[1] == (1, "error:ValueError", None)
         err = capsys.readouterr().err
-        assert "sweep point 1: ValueError: pulse width w=0.5 >= interval tau=0.5" in err
+        assert "sweep point 1: ValueError: integration failed at tau=0.25" in err
         text = (tmp_path / "run_sweep.csv").read_text().strip().split("\n")
         assert len(text) == 3
 
@@ -287,6 +308,13 @@ class TestCli:
         assert "configuration error: run.tolerance must be at most" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_non_finite_tolerance_override_refused(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(QUICK.format(out=tmp_path / "out"))
+        assert cli.main(["simulate", str(path), "--tolerance", "nan"]) == 1
+        assert "configuration error: run.tolerance must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_deterministic_bytes(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(QUICK.format(out=tmp_path / "out"))
@@ -308,7 +336,8 @@ class TestCli:
         ("run.alpha", 1.0, -2.0, "run.alpha must be nonnegative"),
         ("model.beta_b", 1.0, -1.0, "model.beta_b must be nonnegative"),
         ("protocol.tau", 0.25, 0.0, "protocol.tau must be positive"),
-    ], ids=["run.alpha", "model.beta_b", "protocol.tau"])
+        ("protocol.w", 0.0, 0.25, "pulse width w=0.25 >= interval tau=0.25"),
+    ], ids=["run.alpha", "model.beta_b", "protocol.tau", "protocol.w"])
     def test_sweep_refuses_invalid_point_before_any_runs(self, tmp_path, capsys, monkeypatch,
                                                          axis, good, bad, message):
         def no_run(cfg):
