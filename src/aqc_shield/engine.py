@@ -11,13 +11,16 @@ formed once per piece, so a trial step costs one linear combination and one
 product.  Their difference estimates the sixth-order step's local error and
 drives a per-step size controller against a tolerance in the operator norm,
 the norm the trace-distance bounds use
-(||U rho U^dag - V rho V^dag||_1 <= 2 ||U - V||).  Steps never cross a
-pulse edge: the schedule supplies breakpoints, and in the ideal-pulse limit
-w = 0 the pulses are applied as exact unitary kicks between free segments
-rather than as narrow windows.  Every kick is a Pauli string P (x) I, so
-it is applied as P's own signed permutation gathering the leading system
-axis of a (2^n, d / 2^n) view of the propagator's rows, in O(d^2) rather
-than as a dense product.
+(||U rho U^dag - V rho V^dag||_1 <= 2 ||U - V||).  No step crosses a
+breakpoint where the generator switches piece (a finite pulse window's
+edge).  In the ideal-pulse limit w = 0 the pulses are exact unitary kicks
+rather than narrow windows.  Every kick is a Pauli string P (x) I, so it is
+applied as P's own signed permutation gathering the leading system axis of
+a (2^n, d / 2^n) view of the propagator's rows, in O(d^2) rather than as a
+dense product.  When every kick commutes exactly with the generator (an
+encoded run without coupling), the kicks are applied after the last step
+and bound none; otherwise every kick ends a step, and a step clipped short
+by a kick is accepted on a cheaper a-priori bound when that bound fits.
 
 Three canonical runs share one integrator: the coupled run under the full
 Hamiltonian, the uncoupled twin with the system-bath term deleted but
@@ -80,6 +83,11 @@ _COMMUTATOR_WORDS = (
 )
 # the word length of each stack entry: its coefficient carries dt^length
 _WORD_LENGTHS = np.array([1, 1, *(len(w) for w, _, _ in _COMMUTATOR_WORDS)])
+# the stack entries XYY .. XYYYYY, the only ones Omega8 - Omega6 reads
+_TAIL = slice(4, len(_WORD_LENGTHS))
+# the largest share of a kick-clipped step's certificate left to the
+# Frobenius residual beyond the last product-bounded tail
+_ANCHOR_SHARE = 0.5
 
 # The largest accepted tolerance.  Above it the summed error estimate can
 # fall below the true propagator error: over 60 random affine runs over
@@ -115,7 +123,7 @@ class IntegratorConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:  # also refuses NaN
             raise ValueError(f"tolerance must be positive, got {self.tol}")
         if self.tol > MAX_TOLERANCE:
             raise ValueError(
@@ -197,8 +205,13 @@ def propagate_with_stats(
     :func:`~aqc_shield.pauli.signed_permutation` (perm, phase) is taken
     once; with u's rows viewed as (2^n, d / 2^n), ``phase[:, None] *
     u_view[perm]`` equals ``(P (x) I) @ u``.  A pulse whose 2^n does not
-    divide d raises ``ValueError`` before the first step.  The generator is
-    read through its fields only.
+    divide d raises ``ValueError`` before the first step.  Each distinct
+    pulse is then checked once against every piece and q, bitwise
+    (:func:`_commutes`).  If every pulse commutes with the generator, it
+    commutes with every step's propagator, so the kicks bound no step and
+    are applied in time order after the last one.  Otherwise every kick
+    time is an edge, and the kicks are applied as evolution reaches them.
+    The generator is read through its fields only.
 
     Each trial step forms the sixth-order Magnus exponent Omega6 and its
     embedded eighth-order companion Omega8 on the four Gauss-Legendre nodes
@@ -214,14 +227,29 @@ def propagate_with_stats(
     against that share ~ dt, the exponent 1/6.  The step size is carried
     across segments and clipped to each breakpoint or kick edge.
 
+    A step that a kick clips short of the current step size is first tried
+    on an a-priori certificate that costs no d-sized product: the last
+    product-bounded tail at a kick edge of the same piece is its anchor,
+    and the certificate is the anchor's bound scaled to this step's
+    projection on it plus the Frobenius norm of the remainder, from the
+    Gram matrix of the 19 stack entries Omega8 - Omega6 reads, formed once
+    per piece (:func:`_tail_gram`, :func:`_anchored_certificate`).  It is
+    at least the operator norm.  If the remainder is within
+    :data:`_ANCHOR_SHARE` of the anchored part and the certificate fits
+    the share, it is the step's err, Omega6 is formed from its 8 entries
+    alone, and the step size is left as it was.  Otherwise the step takes
+    the path above, and its tail becomes the anchor.
+
     ``steps`` counts the exponentials taken, one per accepted step, and
     ``rejected`` the trials retried at a smaller size, which take no
     exponential; :data:`MAX_STEPS` caps both together.  ``segments``
     counts the integrated segments.  ``floored`` counts the accepted steps
     whose share tol * dt / T fell below the 64-eps floor and was raised to
-    it.  ``error_estimate`` sums err over the accepted steps, so it is at
-    most ``cfg.tol`` when ``floored`` is 0; it estimates the propagator's
-    operator-norm error, and it is not a strict bound.
+    it.  ``error_estimate`` sums err over the accepted steps, the
+    certificate where it accepted the step and the product bound
+    elsewhere, so it is at most ``cfg.tol`` when ``floored`` is 0; it
+    estimates the propagator's operator-norm error, and it is not a strict
+    bound.
     """
     cfg = cfg or IntegratorConfig()
     if total_time < 0:
@@ -242,19 +270,24 @@ def propagate_with_stats(
                     )
                 gathers[pulse] = signed_permutation(pulse)
             kicks_at.setdefault(kt, []).append(gathers[pulse])
-    edges = {0.0, total_time, *kicks_at}
+    # kicks that commute with the generator bound no step: applied after the last
+    deferred = all(_commutes(h_of_t, *gather) for gather in gathers.values())
+    at_edges, after = ({}, kicks_at) if deferred else (kicks_at, {})
+    edges = {0.0, total_time, *at_edges}
     edges.update(b for b in breakpoints if 0.0 < b < total_time)
     ordered = sorted(edges)
     floor = 64 * np.finfo(float).eps
     stacks: dict[int, np.ndarray] = {}
+    grams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    anchors: dict[int, tuple[np.ndarray, np.ndarray, float] | None] = {}
 
-    for perm, phase in kicks_at.get(0.0, ()):
-        u = (phase[:, None] * u.reshape(perm.size, -1)[perm]).reshape(dim, dim)
+    u = _apply_kicks(u, at_edges.get(0.0, ()))
     dt = ordered[1]
     for a, b in zip(ordered[:-1], ordered[1:]):
         piece = 0 if h_of_t.piece_at is None else h_of_t.piece_at(0.5 * (a + b))
         if piece not in stacks:
             stacks[piece] = _commutator_stack(h_of_t.pieces[piece], h_of_t.q)
+        stack = stacks[piece]
         t = a
         while b - t > 1e-15 * max(1.0, total_time):
             if stats["steps"] + stats["rejected"] >= MAX_STEPS:
@@ -263,10 +296,22 @@ def propagate_with_stats(
                     f"{MAX_STEPS} trial steps to reach tolerance {cfg.tol:.2e}"
                 )
             step = min(dt, b - t)
-            omega6, tail = _magnus86_trial(stacks[piece], h_of_t.f, t, step)
-            err = _hermitian_norm_bound(tail)
             share = cfg.tol * step / total_time
             allowed = max(share, floor)
+            rows = _magnus86_rows(h_of_t.f, t, step)
+            r = rows[1, _TAIL]
+            anchor = anchors.get(piece) if step < dt and b in at_edges else None
+            err = math.inf if anchor is None else _anchored_certificate(r, *grams[piece], *anchor)
+            certified = err <= allowed
+            if certified:
+                omega6 = _combine(rows[0, :8], stack[:8])
+            else:
+                omega6, tail = _combine(rows, stack)
+                err = _hermitian_norm_bound(tail)
+                if b in at_edges:
+                    if piece not in grams:
+                        grams[piece] = _tail_gram(stack)
+                    anchors[piece] = _anchor(r, grams[piece][0], err)
             if err <= allowed:
                 u = expm_hermitian(1j * omega6, 1.0, tol=1e-9) @ u
                 stats["steps"] += 1
@@ -276,13 +321,40 @@ def propagate_with_stats(
                 t = b if step == b - t else t + step
             else:
                 stats["rejected"] += 1
-            factor = 0.9 * (allowed / err) ** (1 / 6) if err > 0 else 5.0
-            dt = step * min(5.0, max(0.2, factor))
+            if not certified:
+                factor = 0.9 * (allowed / err) ** (1 / 6) if err > 0 else 5.0
+                dt = step * min(5.0, max(0.2, factor))
         if t > a:
             stats["segments"] += 1
-        for perm, phase in kicks_at.get(b, ()):
-            u = (phase[:, None] * u.reshape(perm.size, -1)[perm]).reshape(dim, dim)
+        u = _apply_kicks(u, at_edges.get(b, ()))
+    for kt in sorted(after):
+        u = _apply_kicks(u, after[kt])
     return u, stats
+
+
+def _apply_kicks(u: np.ndarray, gathers) -> np.ndarray:
+    """``u`` after each (perm, phase) kick in turn, as P (x) I on its rows."""
+    dim = u.shape[0]
+    for perm, phase in gathers:
+        u = (phase[:, None] * u.reshape(perm.size, -1)[perm]).reshape(dim, dim)
+    return u
+
+
+def _commutes(h_of_t: AffineGenerator, perm: np.ndarray, phase: np.ndarray) -> bool:
+    """Whether P (x) I, given by P's signed permutation, commutes exactly
+    with every piece and q: (P (x) I) A (P (x) I)^dag equals A bitwise.
+
+    Row i of P holds phase[i] in column perm[i], so the conjugate's
+    (i, j) block over the trailing identity is phase[i] conj(phase[j])
+    times A's (perm[i], perm[j]) block.
+    """
+    n = perm.size
+    signs = np.outer(phase, phase.conj())[:, None, :, None]
+    for a in (*h_of_t.pieces, h_of_t.q):
+        view = a.reshape(n, a.shape[0] // n, n, -1)
+        if not np.array_equal(signs * view[perm][:, :, perm], view):
+            return False
+    return True
 
 
 def _commutator_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -308,22 +380,31 @@ def _magnus86_trial(stack, f, t0, dt) -> tuple[np.ndarray, np.ndarray]:
 
     The Gauss-Legendre Magnus pair of Blanes, Casas & Ros (BIT 40, 434
     (2000)) for A = -iH = X + f(t) Y, ``stack`` from
-    :func:`_commutator_stack`.  With g0..g3 the monomial coefficients of
-    the cubic through f at the four nodes (s in [-1/2, 1/2] around the
-    midpoint), Omega6 (order <= 5) and Omega8 - Omega6 (order 7) are fixed
-    polynomials in g0..g3 times dt^length on each Lyndon word; the even
-    orders vanish.  ``tools/derive_magnus86.py`` derives every coefficient
-    below.
+    :func:`_commutator_stack`, with the weights of :func:`_magnus86_rows`.
     """
-    fs = [f(t0 + (0.5 + s) * dt) for s in _GAUSS_NODES]
-    g0, g1, g2, g3 = (sum(m * v for m, v in zip(row, fs)) for row in _NODE_TO_CUBIC)
+    return _combine(_magnus86_rows(f, t0, dt), stack)
+
+
+def _magnus86_rows(f, t0, dt) -> np.ndarray:
+    """The (2, 23) real weights of Omega6 and Omega8 - Omega6 on the stack
+    entries, for one trial over [t0, t0 + dt].
+
+    With g0..g3 the monomial coefficients of the cubic through f at the
+    four Gauss-Legendre nodes (s in [-1/2, 1/2] around the midpoint), both
+    are fixed polynomials in g0..g3 times dt^length on each Lyndon word;
+    the even orders vanish.  Omega6 reads entries 0..7 only, Omega8 - Omega6
+    entries 4..22 (:data:`_TAIL`).  ``tools/derive_magnus86.py`` derives
+    every coefficient below.
+    """
+    f0, f1, f2, f3 = [f(t0 + (0.5 + s) * dt) for s in _GAUSS_NODES]
+    g0, g1, g2, g3 = [m0 * f0 + m1 * f1 + m2 * f2 + m3 * f3 for m0, m1, m2, m3 in _NODE_TO_CUBIC]
     g00, g11 = g0 * g0, g1 * g1
-    rows = np.zeros((2, len(stack)))
+    rows = np.zeros((2, len(_WORD_LENGTHS)))
     # Omega6 on X, Y, XY, XXY, XYY, XXXY, XXYY, XYYY
     rows[0, :8] = (1.0, g0 + g2 / 12, -g1 / 12 - g3 / 80, g2 / 360,
                    g11 / 240 - g0 * g2 / 360, g1 / 720, -g0 * g1 / 360, g00 * g1 / 720)
     # Omega8 - Omega6 on XYY .. XYYYYY
-    rows[1, 4:] = (
+    rows[1, _TAIL] = (
         g1 * g3 / 840 - g2 * g2 / 6048,
         g3 / 6720,
         -g0 * g3 / 3360 - 13 * g1 * g2 / 30240,
@@ -345,11 +426,70 @@ def _magnus86_trial(stack, f, t0, dt) -> tuple[np.ndarray, np.ndarray]:
         -g00 * g00 * g1 / 30240,
     )
     rows *= dt ** _WORD_LENGTHS
-    # real rows act on the real and imaginary parts alike: one real product
+    return rows
+
+
+def _combine(weights: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """The real combination(s) ``weights @ entries`` of (k, d, d) complex
+    entries: one real product, since real weights act on the real and
+    imaginary parts alike.  A (k,) weight vector gives one (d, d) matrix,
+    a (r, k) array r of them."""
+    d = entries.shape[-1]
+    combined = weights @ entries.reshape(len(entries), -1).view(float)
+    return combined.view(complex).reshape(*weights.shape[:-1], d, d)
+
+
+def _tail_gram(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(G, slack) for the stack entries S_i that Omega8 - Omega6 reads,
+    formed once per piece: G[i, j] = Re tr(S_i^dag S_j), and slack[i] =
+    ||S_i||_F sqrt((2 d^2 + 64) eps), which bounds the rounding of
+    :func:`_gram_certificate`."""
     d = stack.shape[-1]
-    combined = rows @ stack.reshape(len(stack), -1).view(float)
-    omega6, tail = combined.view(complex).reshape(2, d, d)
-    return omega6, tail
+    entries = stack[_TAIL]
+    entries = entries.reshape(len(entries), -1).view(float)
+    gram = entries @ entries.T
+    return gram, np.sqrt(np.diag(gram) * ((2 * d * d + 64) * np.finfo(float).eps))
+
+
+def _gram_certificate(r: np.ndarray, gram: np.ndarray, slack: np.ndarray) -> float:
+    """An upper bound on ||sum_i r_i S_i||_F, and so on its operator norm,
+    from :func:`_tail_gram`: sqrt(r^T G r + (|r|^T slack)^2).
+
+    ||sum_i r_i S_i||_F^2 = r^T G r for real r.  Rounding in G and in the
+    quadratic form moves it by at most (2 d^2 + 64) eps (sum_i |r_i|
+    ||S_i||_F)^2, the second term, so cancellation cannot take the value
+    below the true norm.
+    """
+    rounding = float(np.abs(r) @ slack)
+    return math.sqrt(max(float(r @ gram @ r), 0.0) + rounding * rounding)
+
+
+def _anchor(r: np.ndarray, gram: np.ndarray, bound: float):
+    """(r, G r / r^T G r, bound) for :func:`_anchored_certificate`, from a
+    tail sum_i r_i S_i whose operator norm ``bound`` bounds, or None for a
+    zero tail, which explains no other."""
+    gr = gram @ r
+    norm2 = float(r @ gr)
+    return (r, gr / norm2, bound) if norm2 > 0 else None
+
+
+def _anchored_certificate(r, gram, slack, anchor_r, anchor_w, anchor_bound) -> float:
+    """An upper bound on ||sum_i r_i S_i||_2 from the last product-bounded
+    tail (:func:`_anchor`), or inf when that tail explains too little of it.
+
+    With alpha = r^T G r_a / r_a^T G r_a, the G-projection of r on the
+    anchor's r_a, sum_i r_i S_i = alpha A_a + sum_i (r - alpha r_a)_i S_i,
+    so its norm is at most |alpha| times the anchor's bound plus the
+    residual's Frobenius norm (:func:`_gram_certificate`).  The residual
+    alone would carry the Frobenius norm's looseness, which grows as
+    sqrt(d) for a tail lifted by (x) I; it is accepted only while it is at
+    most :data:`_ANCHOR_SHARE` of the anchored part, so the bound stays
+    within a fixed factor of the product bound.
+    """
+    alpha = float(r @ anchor_w)
+    anchored = abs(alpha) * anchor_bound
+    residual = _gram_certificate(r - alpha * anchor_r, gram, slack)
+    return anchored + residual if residual <= _ANCHOR_SHARE * anchored else math.inf
 
 
 def _hermitian_norm_bound(x: np.ndarray) -> float:
@@ -583,7 +723,6 @@ def run_protected(
     rho_b0 = _bath_initial_state(bath, bath_state)
     rho0 = np.kron(np.outer(psi0, psi0.conj()), rho_b0)
 
-    breakpoints = schedule_breakpoints(schedule)
     u_frame = frame_unitary(spec, bath, schedule, cfg)
 
     def artifacts(u_total: np.ndarray, stats: dict, coupled: bool) -> RunArtifacts:
@@ -598,6 +737,9 @@ def run_protected(
     # parts, so its propagator is U_sys (x) exp(-i H_B T): propagate at 2^n.
     h_sys = protected_hamiltonian(spec, bath, schedule, include_coupling=False)
     kicks = schedule_kicks(schedule)
+    # as in the frame, only finite windows switch piece; without them only
+    # kicks can bound a step, and commuting kicks bound none
+    breakpoints = schedule_breakpoints(schedule) if len(h_sys.pieces) > 1 else ()
     u_sys, stats = propagate_with_stats(h_sys, total, cfg, breakpoints, kicks)
     twin = artifacts(np.kron(u_sys, expm_hermitian(bath.h_b, total)), stats, coupled=False)
     if not np.any(bath.h_sb):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,6 +170,9 @@ def run_sweep(
     configs = sweep_points(sweep)
     jobs = list(enumerate(configs))
     if parallelism > 1:
+        # imported here, its only use: a single experiment never loads it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             rows = list(pool.map(_sweep_worker, jobs))
     else:

@@ -137,12 +137,31 @@ class TestPropagate:
             expected = lifted[pulse] @ expected
         assert np.array_equal(u, expected)
 
+    def test_commuting_kicks_deferred(self):
+        # X commutes with this generator: its kick bounds no step, and it is
+        # applied after the last one
+        x = PauliString.from_letters("X")
+        h = np.array([[1.0, 0.5], [0.5, 1.0]])
+        u, stats = propagate_with_stats(affine(h), 1.0, kicks=((0.5, x),))
+        assert stats["segments"] == 1
+        assert op_norm(u - to_dense(x) @ expm_hermitian(h, 1.0)) <= 1e-12
+
+    def test_kick_failing_commutation_on_one_entry_not_deferred(self):
+        # one diagonal entry one ulp off: P h P^dag differs from h bitwise,
+        # so the kick splits the run as before
+        x = PauliString.from_letters("X")
+        h = np.array([[1.0, 0.5], [0.5, np.nextafter(1.0, 2.0)]])
+        u, stats = propagate_with_stats(affine(h), 1.0, kicks=((0.5, x),))
+        assert stats["segments"] == 2
+        half = expm_hermitian(h, 0.5)
+        assert op_norm(u - half @ to_dense(x) @ half) <= 1e-12
+
     def test_indivisible_pulse_refused_before_any_step(self, monkeypatch):
         # a 1-qubit pulse cannot act on a d = 3 generator as P (x) I
         def no_step(*args, **kwargs):
             raise AssertionError("a trial step was taken")
 
-        monkeypatch.setattr(engine, "_magnus86_trial", no_step)
+        monkeypatch.setattr(engine, "_magnus86_rows", no_step)
         kicks = ((0.5, PauliString.from_letters("X")),)
         with pytest.raises(ValueError, match="does not divide dimension 3"):
             propagate_with_stats(affine(np.eye(3)), 1.0, kicks=kicks)
@@ -225,6 +244,45 @@ class TestMagnus6:
         assert errors[0] / errors[1] >= 2 ** 6.5
         assert gaps[0] / gaps[1] >= 2 ** 6.5
 
+    def test_gram_certificate_bounds_tail(self, rng):
+        # sqrt(r^T G r) is the tail's Frobenius norm, which is at least its
+        # operator norm; the rounding allowance only adds to it
+        a = random_hermitian(rng, 8)
+        b = random_hermitian(rng, 8)
+        stack = engine._commutator_stack(a, b)
+        gram = engine._tail_gram(stack)
+        for dt in (0.3, 0.1, 0.02):
+            rows = engine._magnus86_rows(sin3, 0.3, dt)
+            _, tail = engine._magnus86_trial(stack, sin3, 0.3, dt)
+            cert = engine._gram_certificate(rows[1, engine._TAIL], *gram)
+            frobenius = np.linalg.norm(tail)
+            assert cert >= frobenius >= op_norm(tail)
+            assert cert == pytest.approx(frobenius, rel=1e-6)
+
+    def test_anchored_certificate_bounds_tail(self, rng):
+        # lifted by (x) I_4, the Frobenius certificate doubles; the anchored
+        # one keeps near the anchor's product bound, stays above the
+        # operator norm, and declines far from the anchor
+        eye = np.eye(4)
+        a = np.kron(random_hermitian(rng, 8), eye)
+        b = np.kron(random_hermitian(rng, 8), eye)
+        stack = engine._commutator_stack(a, b)
+        gram, slack = engine._tail_gram(stack)
+
+        def tail_at(t0):
+            r = engine._magnus86_rows(sin3, t0, 0.05)[1, engine._TAIL]
+            return r, engine._magnus86_trial(stack, sin3, t0, 0.05)[1]
+
+        r0, tail0 = tail_at(0.3)
+        anchor = engine._anchor(r0, gram, engine._hermitian_norm_bound(tail0))
+        for t0 in (0.3, 0.31, 0.32):
+            r, tail = tail_at(t0)
+            cert = engine._anchored_certificate(r, gram, slack, *anchor)
+            assert op_norm(tail) <= cert < engine._gram_certificate(r, gram, slack) / 1.5
+        r, _ = tail_at(1.3)
+        assert engine._anchored_certificate(r, gram, slack, *anchor) == math.inf
+        assert engine._anchor(0 * r0, gram, 0.0) is None
+
     def test_literal_tables(self):
         # the node matrix inverts the Vandermonde matrix of the nodes, and
         # each stack word is the concatenation of its bracket's factors
@@ -240,6 +298,13 @@ class TestMagnus6:
         assert IntegratorConfig(tol=engine.MAX_TOLERANCE).tol == 1e-3
         with pytest.raises(ValueError, match="exceeds 0.001, above which"):
             IntegratorConfig(tol=2e-3)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+    def test_nonpositive_or_nan_tolerance_refused(self, tol):
+        # NaN fails both bound comparisons; read as positive it would
+        # reject every trial step until the step cap
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            IntegratorConfig(tol=tol)
 
     def test_one_exponential_per_accepted_step(self, rng, monkeypatch):
         a = random_hermitian(rng, 16)
@@ -443,14 +508,23 @@ class TestRunProtected:
             assert art.diagnostics["floored"] == 0
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-8])
-    @pytest.mark.parametrize("total_time, w", [(2.0, 0.0), (2.4, 0.05)])
-    def test_error_estimate_tracks_true_error(self, total_time, w, tol):
+    @pytest.mark.parametrize("total_time, w, tau, n_b", [
+        pytest.param(2.0, 0.0, 0.25, 1, id="2.0-0.0"),
+        pytest.param(2.4, 0.05, 0.25, 1, id="2.4-0.05"),
+        # every coupled step is clipped by a kick, most accepted on the
+        # anchored certificate
+        pytest.param(2.0, 0.0, 1 / 16, 1, id="kick-limited"),
+        # the same at d = 64 over 256 slots, where a Frobenius norm alone
+        # read 44 times the true error
+        pytest.param(8.0, 0.0, 1 / 32, 2, id="kick-limited-d64"),
+    ])
+    def test_error_estimate_tracks_true_error(self, total_time, w, tau, n_b, tol):
         # the summed estimate of each propagation against its true
         # operator-norm error, measured on a tol = 1e-12 run: never below
         # it, and at most 50 times above
         def runs(t):
             spec, bath, schedule, coupled, twin = quick_protected(
-                j=0.1, total_time=total_time, w=w, tol=t)
+                j=0.1, total_time=total_time, tau=tau, w=w, tol=t, n_b=n_b)
             h_sys = engine._timed_hamiltonian(spec, schedule, False)
             bp = schedule_breakpoints(schedule) if len(h_sys.pieces) > 1 else ()
             frame = propagate_with_stats(h_sys, schedule.total_time,
@@ -461,6 +535,53 @@ class TestRunProtected:
         for (u, stats), (u_ref, _) in zip(runs(tol), runs(1e-12)):
             ratio = stats["error_estimate"] / op_norm(u - u_ref)
             assert 1.0 <= ratio <= 50.0
+
+    def test_encoded_twin_defers_its_kicks(self):
+        # every pulse commutes with the encoded generator, so the twin takes
+        # the frame's adaptive steps and matches the kick-bounded propagation
+        tol = 1e-9
+        spec, bath, schedule, _, twin = quick_protected(j=0.1, tol=tol)
+        h_sys = engine._timed_hamiltonian(spec, schedule, False)
+        total = schedule.total_time
+        _, frame_stats = propagate_with_stats(h_sys, total, IntegratorConfig(tol=tol))
+        assert twin.diagnostics["steps"] == frame_stats["steps"]
+        assert twin.diagnostics["segments"] == 1
+        # kick-bounded reference: one propagation per slot, then its kick
+        reference = np.eye(16, dtype=complex)
+        slot = schedule.slot_time
+        for k, (_, pulse) in enumerate(schedule_kicks(schedule)):
+            shifted = AffineGenerator(h_sys.pieces, h_sys.q,
+                                      lambda t, t0=k * slot: h_sys.f(t0 + t))
+            part, _ = propagate_with_stats(shifted, slot,
+                                           IntegratorConfig(tol=tol * slot / total))
+            reference = to_dense(pulse) @ part @ reference
+        reference = np.kron(reference, expm_hermitian(bath.h_b, total))
+        assert op_norm(twin.u_total - reference) <= 10 * tol
+
+    def test_kick_clipped_steps_accept_on_certificate(self, monkeypatch):
+        # tau = 1/16 over T = 8: every coupled step is clipped by a kick, and
+        # at most one in four pays a product bound; the rest are accepted on
+        # the anchored certificate
+        spec, bath, schedule, coupled, _ = quick_protected(
+            j=0.1, total_time=8.0, tau=1 / 16, tol=1e-8)
+        calls = []
+        product_bound = engine._hermitian_norm_bound
+        monkeypatch.setattr(engine, "_hermitian_norm_bound",
+                            lambda x: calls.append(x.shape) or product_bound(x))
+        h = protected_hamiltonian(spec, bath, schedule)
+        u, stats = propagate_with_stats(h, schedule.total_time, IntegratorConfig(tol=1e-8),
+                                        kicks=schedule_kicks(schedule))
+        assert stats["steps"] == schedule.total_pulses == 128 and stats["rejected"] == 0
+        assert 1 <= len(calls) <= 128 // 4
+        assert 0.0 < stats["error_estimate"] <= 1e-8
+        assert np.array_equal(u, coupled.u_total)
+
+    def test_noncommuting_twin_keeps_kick_bounded_steps(self):
+        # unencoded terms do not commute with the pulses: every kick still
+        # ends a segment, so the twin integrates one segment per slot
+        _, _, schedule, _, twin = quick_protected(j=0.1, spec_fn=transverse_field_spec)
+        assert twin.diagnostics["segments"] == schedule.total_pulses == 8
+        assert twin.diagnostics["steps"] >= schedule.total_pulses
 
     @pytest.mark.parametrize("n_b, w, gated_penalty", [(2, 0.0, False), (1, 0.05, True)])
     def test_factorized_twin_matches_joint_propagation(self, n_b, w, gated_penalty):

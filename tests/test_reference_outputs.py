@@ -1,0 +1,36 @@
+"""The shipped benchmark workloads against their recorded reference outputs.
+
+Each case writes a workload's INI at bath seed 1234 (benchmark seed 0), runs
+one operation through ``perfbench/workloads.py`` and passes what it wrote
+through the reference gate of ``perfbench/gate.py``, which allows every
+propagated value to move by 10 x the run tolerance.  Nothing under
+``perfbench/`` is written.
+"""
+
+import json
+import os
+import sys
+
+import pytest
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.insert(0, PERFBENCH)
+
+import gate  # noqa: E402
+import workloads  # noqa: E402
+
+SEED = 0
+
+
+@pytest.mark.parametrize("name", ["simulate_nb2", "gap_n8"])
+def test_workload_matches_reference(name, tmp_path):
+    workload = workloads.WORKLOADS[name]
+    assert workloads.bath_seed(SEED) == 1234
+    with open(os.path.join(PERFBENCH, "refs.json"), encoding="utf-8") as fh:
+        ref = json.load(fh)["workloads"][name][str(workloads.bath_seed(SEED))]
+    loaded = workload.load(workload.write_ini(SEED, str(tmp_path)))
+    out_dir = str(tmp_path / "out")
+    returned = workload.run(loaded, out_dir, workers=1)
+    got = workload.read_outputs(loaded, out_dir, returned)
+    tolerance = workload.base_config(loaded).run.tolerance
+    assert gate.check(workload.kind, got, ref, tolerance) == []

@@ -18,7 +18,7 @@ Each length is projected on the Lyndon basis with standard bracketing.
 It prints the node-to-coefficient matrix (the inverse of the Vandermonde
 matrix of the nodes) and, per Lyndon word, the Omega6 row (order <= 5) and
 the Omega8 - Omega6 row (order 7), in the layout of
-``aqc_shield.engine._COMMUTATOR_WORDS`` and ``engine._magnus86_trial``.
+``aqc_shield.engine._COMMUTATOR_WORDS`` and ``engine._magnus86_rows``.
 It asserts that the even orders vanish.
 """
 
