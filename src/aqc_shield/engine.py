@@ -11,12 +11,13 @@ formed once per piece, so a trial step costs one linear combination and one
 product.  Their difference estimates the sixth-order step's local error and
 drives a per-step size controller against a tolerance in the operator norm,
 the norm the trace-distance bounds use
-(||U rho U^dag - V rho V^dag||_1 <= 2 ||U - V||).  No step crosses a
-breakpoint where the generator switches piece (a finite pulse window's
-edge).  In the ideal-pulse limit w = 0 the pulses are exact unitary kicks
-rather than narrow windows.  Every kick is a Pauli string P (x) I, so it is
-applied as P's own signed permutation gathering the leading system axis of
-a (2^n, d / 2^n) view of the propagator's rows, in O(d^2) rather than as a
+(||U rho U^dag - V rho V^dag||_1 <= 2 ||U - V||).  The generator carries
+its whole pulse schedule: the times where it switches piece (a finite pulse
+window's edges) and, in the ideal-pulse limit w = 0 where the pulses are
+exact unitary kicks rather than narrow windows, the kicks.  No step crosses
+a switch.  Every kick is a Pauli string P (x) I, so it is applied as P's
+own signed permutation gathering the leading system axis of a
+(2^n, d / 2^n) view of the propagator's rows, in O(d^2) rather than as a
 dense product.  When every kick commutes exactly with the generator (an
 encoded run without coupling), the kicks are applied after the last step
 and bound none; otherwise every kick ends a step, and a step clipped short
@@ -36,6 +37,7 @@ the error phase.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -54,7 +56,7 @@ from .linalg import (
 # ``dense_terms`` stays bound here for callers that wrap it at this module
 # (the benchmark tracer does); the engine itself reads the spec's cache.
 from .model import AdiabaticSpec, SystemBathSpec, dense_terms  # noqa: F401
-from .protocols import PulseSchedule, pulse_generator, slot_index
+from .protocols import PulseSchedule, pulse_generator
 
 # The four Gauss-Legendre nodes of one step, as offsets s in [-1/2, 1/2]
 # from its midpoint, and the matrix taking f at the nodes to the monomial
@@ -134,20 +136,34 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class AffineGenerator:
-    """Piecewise-affine Hermitian generator H(t) = pieces[k] + f(t) q.
+    """Piecewise-affine Hermitian generator H(t) = pieces[k] + f(t) q, with
+    its pulse schedule.
 
-    ``piece_at`` maps a time inside a segment between two breakpoints of the
-    propagation to the index k of that segment's piece; ``None`` means
-    there is one piece.  Each piece and ``q`` are checked Hermitian within
-    1e-8 once, here, and replaced by their Hermitian parts.
+    ``switches`` are (time, k) pairs with increasing times: H uses piece 0
+    until the first time, then each pair's piece k from its time on
+    (:func:`piece_index`).  ``kicks`` are (time, pulse) pairs: a Pauli-string
+    pulse P on n qubits acts instantaneously as P (x) I, the identity
+    filling the trailing d / 2^n of the dimension, once evolution reaches
+    that time, in list order for coinciding times.  Switch times that do
+    not increase, or a switch to a piece outside ``pieces``, raise
+    ``ValueError``.  Each piece and ``q`` are checked Hermitian within 1e-8
+    once, here, and replaced by their Hermitian parts.
     """
 
     pieces: tuple[np.ndarray, ...]
     q: np.ndarray
     f: Callable[[float], float]
-    piece_at: Callable[[float], int] | None = None
+    switches: tuple[tuple[float, int], ...] = ()
+    kicks: tuple[tuple[float, PauliString], ...] = ()
 
     def __post_init__(self):
+        times = [t for t, _ in self.switches]
+        if any(a >= b for a, b in zip(times, times[1:])):
+            raise ValueError(f"switch times {times} do not increase")
+        for t, k in self.switches:
+            if not 0 <= k < len(self.pieces):
+                raise ValueError(f"switch at t={t} to piece {k} outside the "
+                                 f"{len(self.pieces)} pieces")
         parts = []
         for k, a in enumerate((*self.pieces, self.q)):
             if a.shape != self.q.shape:
@@ -157,6 +173,13 @@ class AffineGenerator:
             parts.append(0.5 * (a + a.conj().T))
         object.__setattr__(self, "pieces", tuple(parts[:-1]))
         object.__setattr__(self, "q", parts[-1])
+
+
+def piece_index(h_of_t: AffineGenerator, t: float) -> int:
+    """The index of the piece ``h_of_t`` uses at time t: that of the last
+    switch at or before t, or 0 before the first."""
+    i = bisect.bisect_right(h_of_t.switches, t, key=lambda switch: switch[0])
+    return h_of_t.switches[i - 1][1] if i else 0
 
 
 @dataclass
@@ -190,28 +213,25 @@ def propagate_with_stats(
     total_time: float,
     cfg: IntegratorConfig | None = None,
     breakpoints: tuple[float, ...] = (),
-    kicks: tuple[tuple[float, PauliString], ...] = (),
 ) -> tuple[np.ndarray, dict]:
     """Time-ordered propagator of a piecewise-affine Hermitian generator,
     and the integrator statistics.
 
-    ``breakpoints`` mark the edges where ``h_of_t`` switches piece (pulse
-    edges); integration steps are aligned so no step straddles one, and
-    each segment between edges takes the piece ``h_of_t.piece_at`` gives
-    its midpoint.  ``kicks`` are (time, pulse) pairs: a Pauli-string pulse
-    P on n qubits acts instantaneously as P (x) I, the identity filling the
-    trailing d / 2^n of the dimension, once evolution reaches that time, in
-    list order for coinciding times.  Each distinct pulse's
-    :func:`~aqc_shield.pauli.signed_permutation` (perm, phase) is taken
-    once; with u's rows viewed as (2^n, d / 2^n), ``phase[:, None] *
-    u_view[perm]`` equals ``(P (x) I) @ u``.  A pulse whose 2^n does not
-    divide d raises ``ValueError`` before the first step.  Each distinct
-    pulse is then checked once against every piece and q, bitwise
-    (:func:`_commutes`).  If every pulse commutes with the generator, it
-    commutes with every step's propagator, so the kicks bound no step and
-    are applied in time order after the last one.  Otherwise every kick
-    time is an edge, and the kicks are applied as evolution reaches them.
-    The generator is read through its fields only.
+    The switch times of ``h_of_t.switches`` are edges: integration steps
+    are aligned so no step straddles one, and each segment between edges
+    takes the piece :func:`piece_index` gives its start.  ``breakpoints``
+    are extra edges that clip steps without switching piece.  The kicks of
+    ``h_of_t.kicks`` act as :class:`AffineGenerator` describes; each
+    distinct pulse's :func:`~aqc_shield.pauli.signed_permutation` (perm,
+    phase) is taken once; with u's rows viewed as (2^n, d / 2^n),
+    ``phase[:, None] * u_view[perm]`` equals ``(P (x) I) @ u``.  A pulse
+    whose 2^n does not divide d raises ``ValueError`` before the first
+    step.  Each distinct pulse is then checked once against every piece
+    and q, bitwise (:func:`_commutes`).  If every pulse commutes with the
+    generator, it commutes with every step's propagator, so the kicks bound
+    no step and are applied in time order after the last one.  Otherwise
+    every kick time is an edge, and the kicks are applied as evolution
+    reaches them.  The generator is read through its fields only.
 
     Each trial step forms the sixth-order Magnus exponent Omega6 and its
     embedded eighth-order companion Omega8 on the four Gauss-Legendre nodes
@@ -225,7 +245,7 @@ def propagate_with_stats(
     length dt is accepted when err is within tol * dt / T (at least 64 eps)
     and then costs one exponential; the next step size follows err ~ dt^7
     against that share ~ dt, the exponent 1/6.  The step size is carried
-    across segments and clipped to each breakpoint or kick edge.
+    across segments and clipped to each edge.
 
     A step that a kick clips short of the current step size is first tried
     on an a-priori certificate that costs no d-sized product: the last
@@ -261,7 +281,7 @@ def propagate_with_stats(
         return u, stats
     gathers: dict[PauliString, tuple[np.ndarray, np.ndarray]] = {}
     kicks_at: dict[float, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for kt, pulse in kicks:
+    for kt, pulse in h_of_t.kicks:
         if 0.0 <= kt <= total_time:
             if pulse not in gathers:
                 if dim % (1 << pulse.n):
@@ -274,7 +294,8 @@ def propagate_with_stats(
     deferred = all(_commutes(h_of_t, *gather) for gather in gathers.values())
     at_edges, after = ({}, kicks_at) if deferred else (kicks_at, {})
     edges = {0.0, total_time, *at_edges}
-    edges.update(b for b in breakpoints if 0.0 < b < total_time)
+    edges.update(b for b in (*(t for t, _ in h_of_t.switches), *breakpoints)
+                 if 0.0 < b < total_time)
     ordered = sorted(edges)
     floor = 64 * np.finfo(float).eps
     stacks: dict[int, np.ndarray] = {}
@@ -284,7 +305,7 @@ def propagate_with_stats(
     u = _apply_kicks(u, at_edges.get(0.0, ()))
     dt = ordered[1]
     for a, b in zip(ordered[:-1], ordered[1:]):
-        piece = 0 if h_of_t.piece_at is None else h_of_t.piece_at(0.5 * (a + b))
+        piece = piece_index(h_of_t, a)
         if piece not in stacks:
             stacks[piece] = _commutator_stack(h_of_t.pieces[piece], h_of_t.q)
         stack = stacks[piece]
@@ -587,6 +608,9 @@ def _timed_hamiltonian(
     Piece 0 holds the free evolution; with finite-width windows that change
     the Hamiltonian, piece 1 + (slot mod the number of windows) holds the
     window of a slot: its pulse generator and the penalty unless gated off.
+    Slot k switches to its window piece at k tau_s + tau and back to piece 0
+    at (k + 1) tau_s, tau_s = tau + w the slot time; with ideal pulses and
+    ``include_control``, slot k's pulse kicks at (k + 1) tau_s instead.
     """
     total = schedule.total_time
     if bath is None:
@@ -604,40 +628,15 @@ def _timed_hamiltonian(
         windows = [window + lift(pulse_generator(p, schedule.w)) for p in schedule.pulses]
     elif schedule.w > 0 and window is not free:
         windows = [window]
-    piece_at = None
-    if windows:
-        def piece_at(t: float) -> int:
-            slot, in_window = slot_index(schedule, min(t, total))
-            return 1 + slot % len(windows) if in_window else 0
-
-    return AffineGenerator((free, *windows), lift(spec.H1 - spec.H0),
-                           _schedule_fraction(spec, total), piece_at)
-
-
-def schedule_breakpoints(schedule: PulseSchedule, until: float | None = None) -> tuple[float, ...]:
-    """Slot and pulse-window edges within (0, until)."""
-    total = schedule.total_time if until is None else until
-    edges = []
+    switches, kicks = [], []
     for k in range(schedule.total_pulses):
-        start = k * schedule.slot_time
-        window = start + schedule.tau
-        end = start + schedule.slot_time
-        for t in ((start, window) if schedule.w > 0 else (start,)):
-            if 0.0 < t < total:
-                edges.append(t)
-        if end >= total:
-            break
-    return tuple(edges)
-
-
-def schedule_kicks(schedule: PulseSchedule) -> tuple[tuple[float, PauliString], ...]:
-    """Ideal-pulse kicks at slot ends (w = 0 only), as (time, pulse) pairs."""
-    if schedule.w > 0:
-        return ()
-    return tuple(
-        ((k + 1) * schedule.slot_time, schedule.pulses[k % schedule.order])
-        for k in range(schedule.total_pulses)
-    )
+        end = (k + 1) * schedule.slot_time
+        if windows:
+            switches += [(k * schedule.slot_time + schedule.tau, 1 + k % len(windows)), (end, 0)]
+        elif include_control:  # ideal pulses
+            kicks.append((end, schedule.pulses[k % schedule.order]))
+    return AffineGenerator((free, *windows), lift(spec.H1 - spec.H0),
+                           _schedule_fraction(spec, total), tuple(switches), tuple(kicks))
 
 
 def frame_unitary(
@@ -645,20 +644,15 @@ def frame_unitary(
     bath: SystemBathSpec,
     schedule: PulseSchedule,
     cfg: IntegratorConfig | None = None,
-    total_time: float | None = None,
 ) -> np.ndarray:
     """U_frame = U_sys (x) U_bath, generated by the non-control Hamiltonian.
 
     The frame is generated by the adiabatic (plus penalty) and bath parts,
     so the interaction-frame propagator U_frame^dag U_total contains the
-    control and whatever the coupling did.  ``total_time`` defaults to the
-    schedule's.
+    control and whatever the coupling did.
     """
-    total = schedule.total_time if total_time is None else total_time
-    h_sys = _timed_hamiltonian(spec, schedule, False)
-    # only a penalty gated off in finite windows makes the frame switch piece
-    bp = schedule_breakpoints(schedule, total) if len(h_sys.pieces) > 1 else ()
-    u_sys, _ = propagate_with_stats(h_sys, total, cfg, breakpoints=bp)
+    total = schedule.total_time
+    u_sys, _ = propagate_with_stats(_timed_hamiltonian(spec, schedule, False), total, cfg)
     return np.kron(u_sys, expm_hermitian(bath.h_b, total))
 
 
@@ -736,16 +730,12 @@ def run_protected(
     # The twin's generator is H_sys(t) (x) I + I (x) H_B with commuting
     # parts, so its propagator is U_sys (x) exp(-i H_B T): propagate at 2^n.
     h_sys = protected_hamiltonian(spec, bath, schedule, include_coupling=False)
-    kicks = schedule_kicks(schedule)
-    # as in the frame, only finite windows switch piece; without them only
-    # kicks can bound a step, and commuting kicks bound none
-    breakpoints = schedule_breakpoints(schedule) if len(h_sys.pieces) > 1 else ()
-    u_sys, stats = propagate_with_stats(h_sys, total, cfg, breakpoints, kicks)
+    u_sys, stats = propagate_with_stats(h_sys, total, cfg)
     twin = artifacts(np.kron(u_sys, expm_hermitian(bath.h_b, total)), stats, coupled=False)
     if not np.any(bath.h_sb):
         # Zero coupling: the coupled run is the twin; it propagated nothing.
         coupled_stats = dict(stats, steps=0, rejected=0, segments=0, floored=0, coupled=True)
         return replace(twin, diagnostics=coupled_stats), twin
     h = protected_hamiltonian(spec, bath, schedule, include_coupling=True)
-    u_total, stats = propagate_with_stats(h, total, cfg, breakpoints, kicks)
+    u_total, stats = propagate_with_stats(h, total, cfg)
     return artifacts(u_total, stats, coupled=True), twin

@@ -10,10 +10,11 @@ identity exactly, so complete cycles leave no net control action.
 The control Hamiltonian H_C(t) is the slot's :func:`pulse_generator`
 inside its window and zero elsewhere, so H_C(t + T_c) = H_C(t) for the
 cycle time T_c.  The propagation layer adds it to the system Hamiltonian as
-the window pieces of its generator (``engine.protected_hamiltonian``);
-:func:`slot_index` tells a window from free evolution.  w = 0 is the
-ideal-pulse limit: H_C vanishes and the pulses act as instantaneous unitary
-kicks at slot ends.
+the window pieces of its generator (``engine.protected_hamiltonian``),
+which switches to a slot's window piece at the window's start and back at
+the slot's end.  w = 0 is the ideal-pulse limit: H_C vanishes and the
+pulses act as instantaneous unitary kicks at slot ends, which the same
+generator carries.
 """
 
 from __future__ import annotations
@@ -110,20 +111,6 @@ def pulse_generator(p: PauliString, w: float) -> np.ndarray:
         raise ValueError(f"pulse {p} is not an involution (phase {p.phase})")
     dim = 1 << p.n
     return (math.pi / (2 * w)) * (np.eye(dim) - to_dense(p))
-
-
-def slot_index(schedule: PulseSchedule, t: float) -> tuple[int, bool]:
-    """(slot, inside_pulse_window) for a time in [0, T].
-
-    The window occupies the last w of each slot, half-open on the right,
-    so slot boundaries and t = T report as free evolution.
-    """
-    total = schedule.total_time
-    if not 0.0 <= t <= total * (1 + 1e-12):
-        raise ValueError(f"t = {t} outside [0, {total}]")
-    slot = min(int(t / schedule.slot_time), schedule.total_pulses - 1)
-    local = t - slot * schedule.slot_time
-    return slot, schedule.w > 0 and local >= schedule.tau and t < total
 
 
 @dataclass(frozen=True)

@@ -356,10 +356,11 @@ def check_control_periodicity() -> float:
     t_c = schedule.cycle_time
     for _ in range(50):
         t = float(rng.uniform(0, schedule.total_time - t_c))
-        h1, h2 = (gen.pieces[gen.piece_at(x)] for x in (t, t + t_c))
+        h1, h2 = (gen.pieces[engine.piece_index(gen, x)] for x in (t, t + t_c))
         worst = max(worst, float(np.max(np.abs(h1 - h2))))
     for k, p in enumerate(schedule.pulses):
-        window = gen.pieces[gen.piece_at(k * schedule.slot_time + schedule.tau + schedule.w / 2)]
+        t = k * schedule.slot_time + schedule.tau + schedule.w / 2
+        window = gen.pieces[engine.piece_index(gen, t)]
         h_c = window - gen.pieces[0]
         worst = max(worst, float(np.max(np.abs(h_c - protocols.pulse_generator(p, schedule.w)))))
     return 1e-9 - worst
@@ -403,8 +404,7 @@ def check_magnus_ratio() -> float:
             n=2, h0_terms=[], h1_terms=[], total_time=schedule.total_time,
         )
         h = engine.protected_hamiltonian(spec, bath_zero, schedule)
-        u_total, _ = engine.propagate_with_stats(h, schedule.total_time,
-                                                 kicks=engine.schedule_kicks(schedule))
+        u_total, _ = engine.propagate_with_stats(h, schedule.total_time)
         u_frame = engine.frame_unitary(spec, bath_zero, schedule)
         h_eff, _ = engine.effective_hamiltonian(
             linalg.dagger(u_frame) @ u_total, schedule.total_time)

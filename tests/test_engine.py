@@ -25,14 +25,12 @@ from aqc_shield.engine import (
     protected_hamiltonian,
     run_closed_adiabatic,
     run_protected,
-    schedule_breakpoints,
-    schedule_kicks,
 )
 from aqc_shield.linalg import dagger, expm_hermitian, op_norm, partial_trace
 from aqc_shield.metrics import trace_distance
 from aqc_shield.model import AdiabaticSpec, Schedule, linear_decoherence
 from aqc_shield.pauli import PauliString, to_dense
-from aqc_shield.protocols import pdd_schedule, pulse_generator, slot_index
+from aqc_shield.protocols import pdd_schedule, pulse_generator
 
 
 def one_qubit_spec(total_time=10.0, kind="smooth-endpoint"):
@@ -56,11 +54,12 @@ def encoded_spec(total_time, e_terms=None):
     )
 
 
-def affine(a, b=None, g=None):
-    """The one-piece generator t -> a + g(t) b (constant a without b)."""
+def affine(a, b=None, g=None, kicks=()):
+    """The one-piece generator t -> a + g(t) b (constant a without b),
+    with ``kicks``."""
     if b is None:
-        return AffineGenerator((a,), np.zeros_like(a), lambda t: 0.0)
-    return AffineGenerator((a,), b, g)
+        return AffineGenerator((a,), np.zeros_like(a), lambda t: 0.0, kicks=kicks)
+    return AffineGenerator((a,), b, g, kicks=kicks)
 
 
 def sin3(t):
@@ -109,14 +108,14 @@ class TestPropagate:
     def test_kicks_applied_in_order(self):
         x, z = (PauliString.from_letters(c) for c in "XZ")
         zero = np.zeros((2, 2))
-        u = propagate_with_stats(affine(zero), 1.0, kicks=((0.5, x), (1.0, z)))[0]
+        u = propagate_with_stats(affine(zero, kicks=((0.5, x), (1.0, z))), 1.0)[0]
         assert np.allclose(u, to_dense(z) @ to_dense(x))
 
     def test_coinciding_kicks_applied_in_list_order(self):
         x, y, z = (PauliString.from_letters(c) for c in "XYZ")
         zero = np.zeros((2, 2))
         kicks = ((0.5, x), (1.0, y), (0.5, z))
-        u = propagate_with_stats(affine(zero), 1.0, kicks=kicks)[0]
+        u = propagate_with_stats(affine(zero, kicks=kicks), 1.0)[0]
         assert np.allclose(u, to_dense(y) @ to_dense(z) @ to_dense(x))
 
     def test_lifted_pulse_kicks_equal_dense_products(self):
@@ -124,14 +123,13 @@ class TestPropagate:
         # one kick of a zero generator and over the whole schedule, against
         # its dense lift P (x) I_4
         schedule = pdd_schedule(universal_group(4), 0.25, 0.0, 1)
-        kicks = schedule_kicks(schedule)
+        kicks = engine._timed_hamiltonian(encoded_spec(schedule.total_time), schedule, True).kicks
         lifted = {p: np.kron(to_dense(p), np.eye(4)) for _, p in kicks}
         zero = np.zeros((64, 64))
-        generator = AffineGenerator((zero,), zero, lambda t: 0.0)
         for pulse, dense in lifted.items():
-            u = propagate_with_stats(generator, 1.0, kicks=((0.0, pulse),))[0]
+            u = propagate_with_stats(affine(zero, kicks=((0.0, pulse),)), 1.0)[0]
             assert np.array_equal(u, dense)
-        u = propagate_with_stats(generator, schedule.total_time, kicks=kicks)[0]
+        u = propagate_with_stats(affine(zero, kicks=kicks), schedule.total_time)[0]
         expected = np.eye(64, dtype=complex)
         for _, pulse in kicks:
             expected = lifted[pulse] @ expected
@@ -142,7 +140,7 @@ class TestPropagate:
         # applied after the last one
         x = PauliString.from_letters("X")
         h = np.array([[1.0, 0.5], [0.5, 1.0]])
-        u, stats = propagate_with_stats(affine(h), 1.0, kicks=((0.5, x),))
+        u, stats = propagate_with_stats(affine(h, kicks=((0.5, x),)), 1.0)
         assert stats["segments"] == 1
         assert op_norm(u - to_dense(x) @ expm_hermitian(h, 1.0)) <= 1e-12
 
@@ -151,7 +149,7 @@ class TestPropagate:
         # so the kick splits the run as before
         x = PauliString.from_letters("X")
         h = np.array([[1.0, 0.5], [0.5, np.nextafter(1.0, 2.0)]])
-        u, stats = propagate_with_stats(affine(h), 1.0, kicks=((0.5, x),))
+        u, stats = propagate_with_stats(affine(h, kicks=((0.5, x),)), 1.0)
         assert stats["segments"] == 2
         half = expm_hermitian(h, 0.5)
         assert op_norm(u - half @ to_dense(x) @ half) <= 1e-12
@@ -164,7 +162,7 @@ class TestPropagate:
         monkeypatch.setattr(engine, "_magnus86_rows", no_step)
         kicks = ((0.5, PauliString.from_letters("X")),)
         with pytest.raises(ValueError, match="does not divide dimension 3"):
-            propagate_with_stats(affine(np.eye(3)), 1.0, kicks=kicks)
+            propagate_with_stats(affine(np.eye(3), kicks=kicks), 1.0)
 
     def test_zero_time(self):
         u = propagate_with_stats(affine(np.eye(2, dtype=complex)), 0.0)[0]
@@ -175,25 +173,38 @@ class TestPropagate:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         good = np.eye(2, dtype=complex)
         with pytest.raises(ValueError, match="generator piece 1 is not Hermitian"):
-            AffineGenerator((good, bad), good, sin3, lambda t: 1)
+            AffineGenerator((good, bad), good, sin3, ((0.5, 1),))
         with pytest.raises(ValueError, match="generator q is not Hermitian"):
             AffineGenerator((good,), bad, sin3)
 
+    @pytest.mark.parametrize("switches, match", [
+        pytest.param(((0.5, 1), (0.5, 0)), "do not increase", id="repeated-time"),
+        pytest.param(((0.5, 1), (0.25, 0)), "do not increase", id="decreasing-time"),
+        pytest.param(((0.5, 2),), "piece 2 outside the 2 pieces", id="past-last-piece"),
+        pytest.param(((0.5, -1),), "piece -1 outside the 2 pieces", id="negative-piece"),
+    ])
+    def test_invalid_switches_rejected(self, switches, match):
+        good = np.eye(2)
+        with pytest.raises(ValueError, match=match):
+            AffineGenerator((good, 2 * good), good, sin3, switches)
+
     def test_wrapped_generator_propagates_bitwise_equal(self, rng):
-        # a functools.wraps wrapper carries a copy of the fields in its
-        # __dict__; the propagator reads nothing else
+        # a functools.wraps wrapper carries a copy of the fields, switches
+        # and kicks included, in its __dict__; the propagator reads nothing
+        # else
         a, b, c = (random_hermitian(rng, 4) for _ in range(3))
-        gen = AffineGenerator((a, a + c), b, sin3, lambda t: int(t > 0.5))
+        kick = PauliString.from_letters("XI")
+        gen = AffineGenerator((a, a + c), b, sin3, ((0.5, 1),), ((0.75, kick),))
 
         @functools.wraps(gen)
         def wrapper(*args, **kwargs):
             raise AssertionError("the propagator never calls the generator")
 
         wrapper.bench_kind = "twin"
-        u, stats = propagate_with_stats(gen, 1.0, breakpoints=(0.5,))
-        u_wrapped, stats_wrapped = propagate_with_stats(wrapper, 1.0, breakpoints=(0.5,))
+        u, stats = propagate_with_stats(gen, 1.0)
+        u_wrapped, stats_wrapped = propagate_with_stats(wrapper, 1.0)
         assert np.array_equal(u_wrapped, u)
-        assert stats_wrapped == stats and stats["segments"] == 2
+        assert stats_wrapped == stats and stats["segments"] == 3
 
     def test_floored_steps_counted(self, rng):
         # at tol = 1e-14 every share tol * dt / T is below the 64-eps floor
@@ -431,7 +442,8 @@ def joint_twin_propagator(spec, bath, schedule, tol):
     """The uncoupled twin propagated on the joint space: H_sys(t) (x) I +
     I (x) H_B with joint kicks, H_sys built here from spec.interpolate, the
     spec's gated penalty and the pulse generators, one piece per free
-    interval and window."""
+    interval and window, switched and kicked on the twin generator's
+    schedule."""
     total = schedule.total_time
     eye_b = np.eye(bath.bath_dim)
     h_b = np.kron(np.eye(1 << spec.n), bath.h_b)
@@ -443,19 +455,15 @@ def joint_twin_propagator(spec, bath, schedule, tol):
         window = free if spec.penalty_during_pulse else h_start
         windows = [window + pulse_generator(p, schedule.w) for p in schedule.pulses]
 
-    def piece_at(t):
-        slot, in_window = slot_index(schedule, min(t, total))
-        return 1 + slot % schedule.order if in_window else 0
-
+    timing = protected_hamiltonian(spec, bath, schedule, include_coupling=False)
     gen = AffineGenerator(
         tuple(np.kron(h, eye_b) + h_b for h in (free, *windows)),
         np.kron(spec.interpolate(1.0) - h_start, eye_b),
         lambda t: spec.schedule(min(max(t / total, 0.0), 1.0)),
-        piece_at,
+        timing.switches,
+        timing.kicks,
     )
-    u, _ = propagate_with_stats(gen, total, IntegratorConfig(tol=tol),
-                                breakpoints=schedule_breakpoints(schedule),
-                                kicks=schedule_kicks(schedule))
+    u, _ = propagate_with_stats(gen, total, IntegratorConfig(tol=tol))
     return u
 
 
@@ -526,9 +534,7 @@ class TestRunProtected:
             spec, bath, schedule, coupled, twin = quick_protected(
                 j=0.1, total_time=total_time, tau=tau, w=w, tol=t, n_b=n_b)
             h_sys = engine._timed_hamiltonian(spec, schedule, False)
-            bp = schedule_breakpoints(schedule) if len(h_sys.pieces) > 1 else ()
-            frame = propagate_with_stats(h_sys, schedule.total_time,
-                                         IntegratorConfig(tol=t), breakpoints=bp)
+            frame = propagate_with_stats(h_sys, schedule.total_time, IntegratorConfig(tol=t))
             return [(coupled.u_total, coupled.diagnostics), (twin.u_total, twin.diagnostics),
                     frame]
 
@@ -549,7 +555,8 @@ class TestRunProtected:
         # kick-bounded reference: one propagation per slot, then its kick
         reference = np.eye(16, dtype=complex)
         slot = schedule.slot_time
-        for k, (_, pulse) in enumerate(schedule_kicks(schedule)):
+        kicks = protected_hamiltonian(spec, bath, schedule, include_coupling=False).kicks
+        for k, (_, pulse) in enumerate(kicks):
             shifted = AffineGenerator(h_sys.pieces, h_sys.q,
                                       lambda t, t0=k * slot: h_sys.f(t0 + t))
             part, _ = propagate_with_stats(shifted, slot,
@@ -569,8 +576,7 @@ class TestRunProtected:
         monkeypatch.setattr(engine, "_hermitian_norm_bound",
                             lambda x: calls.append(x.shape) or product_bound(x))
         h = protected_hamiltonian(spec, bath, schedule)
-        u, stats = propagate_with_stats(h, schedule.total_time, IntegratorConfig(tol=1e-8),
-                                        kicks=schedule_kicks(schedule))
+        u, stats = propagate_with_stats(h, schedule.total_time, IntegratorConfig(tol=1e-8))
         assert stats["steps"] == schedule.total_pulses == 128 and stats["rejected"] == 0
         assert 1 <= len(calls) <= 128 // 4
         assert 0.0 < stats["error_estimate"] <= 1e-8
@@ -669,8 +675,7 @@ class TestInteractionFrame:
         schedule = pdd_schedule(trivial_group(1), 0.5, 0.0, 4)
         bath = linear_decoherence(1, 1, 0.0, seed=2)
         h = protected_hamiltonian(spec, bath, schedule)
-        u_total, _ = propagate_with_stats(h, 2.0, breakpoints=schedule_breakpoints(schedule),
-                                          kicks=schedule_kicks(schedule))
+        u_total, _ = propagate_with_stats(h, 2.0)
         u_tilde = dagger(frame_unitary(spec, bath, schedule)) @ u_total
         assert op_norm(u_tilde - np.eye(4)) <= 1e-9
 
@@ -684,9 +689,10 @@ class TestInteractionFrame:
         bath = linear_decoherence(1, 1, 0.0, seed=4)
         t_slot = schedule.slot_time
         h = protected_hamiltonian(spec, bath, schedule)
-        bp = schedule_breakpoints(schedule, t_slot)
-        u_total, _ = propagate_with_stats(h, t_slot, breakpoints=bp)
-        u_tilde = dagger(frame_unitary(spec, bath, schedule, total_time=t_slot)) @ u_total
+        u_total, _ = propagate_with_stats(h, t_slot)
+        u_sys, _ = propagate_with_stats(engine._timed_hamiltonian(spec, schedule, False), t_slot)
+        u_frame = np.kron(u_sys, expm_hermitian(bath.h_b, t_slot))
+        u_tilde = dagger(u_frame) @ u_total
         expected = np.kron(to_dense(schedule.pulses[0]), np.eye(2))
         assert op_norm(u_tilde - expected) <= 1e-8
 

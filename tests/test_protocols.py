@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aqc_shield.codes import global_x_group, trivial_group, universal_group
-from aqc_shield.engine import protected_hamiltonian
+from aqc_shield.engine import piece_index, protected_hamiltonian
 from aqc_shield.linalg import expm_hermitian, op_norm
 from aqc_shield.model import AdiabaticSpec, linear_decoherence
 from aqc_shield.pauli import PauliString, to_dense
@@ -13,7 +13,6 @@ from aqc_shield.protocols import (
     pdd_schedule,
     pulse_generator,
     scaled_parameters,
-    slot_index,
 )
 
 
@@ -31,7 +30,7 @@ def control_generator(schedule):
 
 
 def control_at(gen, t):
-    return gen.pieces[gen.piece_at(t)] - gen.pieces[0]
+    return gen.pieces[piece_index(gen, t)] - gen.pieces[0]
 
 
 class TestPddSchedule:
@@ -54,7 +53,7 @@ class TestPddSchedule:
     def test_ideal_limit_has_zero_control(self):
         # w = 0: no window pieces, so the generator carries no control
         gen = control_generator(pdd_schedule(universal_group(2), 0.2, 0.0, 2))
-        assert len(gen.pieces) == 1 and gen.piece_at is None
+        assert len(gen.pieces) == 1 and gen.switches == ()
 
     def test_pulse_widths_validated(self):
         g = universal_group(2)
@@ -121,18 +120,17 @@ class TestControlHamiltonian:
             t = float(rng.uniform(0, schedule.total_time - t_c))
             assert np.array_equal(control_at(gen, t), control_at(gen, t + t_c))
 
-    def test_out_of_range(self):
-        schedule = pdd_schedule(universal_group(2), 0.2, 0.0, 1)
-        with pytest.raises(ValueError, match="outside"):
-            slot_index(schedule, schedule.total_time + 1.0)
-
-    def test_slot_index_window_edges(self):
-        schedule = pdd_schedule(global_x_group(1), 0.2, 0.05, 2)
-        assert slot_index(schedule, 0.0) == (0, False)
-        assert slot_index(schedule, 0.21) == (0, True)
-        assert slot_index(schedule, 0.25) == (1, False)
+    def test_piece_index_window_edges(self):
+        # each window is half-open on the right: slot k's window piece
+        # 1 + k mod 2 from k tau_s + tau, piece 0 again from (k + 1) tau_s
+        schedule = pdd_schedule(global_x_group(2), 0.2, 0.05, 2)
+        gen = control_generator(schedule)
+        assert piece_index(gen, 0.0) == 0
+        assert piece_index(gen, 0.2) == piece_index(gen, 0.21) == 1
+        assert piece_index(gen, 0.25) == 0
+        assert piece_index(gen, 0.46) == 2
         # the final instant reports free evolution
-        assert slot_index(schedule, schedule.total_time)[1] is False
+        assert piece_index(gen, schedule.total_time) == 0
 
 
 class TestScalingRule:

@@ -22,7 +22,7 @@ import workloads  # noqa: E402
 SEED = 0
 
 
-@pytest.mark.parametrize("name", ["simulate_nb2", "gap_n8"])
+@pytest.mark.parametrize("name", ["simulate_nb2", "simulate_finite_pulse", "gap_n8"])
 def test_workload_matches_reference(name, tmp_path):
     workload = workloads.WORKLOADS[name]
     assert workloads.bath_seed(SEED) == 1234
