@@ -27,7 +27,7 @@ import numpy as np
 
 from .linalg import real_if_exact
 from .model import dense_terms
-from .pauli import PauliString, apply_pauli, commutes, pauli_mul, signed_permutation, to_dense
+from .pauli import PauliString, apply_pauli, commutes, conjugate, pauli_mul, to_dense
 
 
 @dataclass(frozen=True)
@@ -132,21 +132,12 @@ def group_average(group: DecouplingGroup, a: np.ndarray) -> np.ndarray:
     This is the first-order effect of a full decoupling cycle, the leading
     Magnus term; it projects onto the commutant of the group algebra.  An
     operator on system (x) bath, of dimension 2^n times the bath's b, is
-    averaged with every element lifted as G (x) I_b.  With G's involutive
-    :func:`~aqc_shield.pauli.signed_permutation` and q = phase[perm], each
-    conjugate gathers the system axes of A viewed as (2^n, b, 2^n, b):
-    (G^dag A G)[i, k] = conj(q[i]) A[perm[i], perm[k]] q[k].
+    averaged with every element lifted as G (x) I_b.  A Pauli string is
+    Hermitian up to its phase, so G^dag A G = G A G^dag, which
+    :func:`~aqc_shield.pauli.conjugate` gathers; a dimension that 2^n does
+    not divide raises ``ValueError``.
     """
-    dim_s = 1 << group.n
-    if a.shape[0] % dim_s != 0:
-        raise ValueError(f"dimension {a.shape[0]} is not a multiple of 2^{group.n}")
-    a4 = a.reshape(dim_s, a.shape[0] // dim_s, dim_s, -1)
-    acc = np.zeros(a4.shape, dtype=complex)
-    for g in group.elements:
-        perm, phase = signed_permutation(g)
-        q = phase[perm]
-        acc += q.conj()[:, None, None, None] * a4[perm][:, :, perm] * q[:, None]
-    return acc.reshape(a.shape) / group.order
+    return sum(conjugate(g, a) for g in group.elements) / group.order
 
 
 def _is_phase_closed(elements: tuple[PauliString, ...]) -> bool:

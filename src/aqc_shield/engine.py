@@ -18,7 +18,7 @@ exact unitary kicks rather than narrow windows, the kicks.  No step crosses
 a switch.  Every kick is a Pauli string P (x) I, so it is applied as P's
 own signed permutation gathering the leading system axis of a
 (2^n, d / 2^n) view of the propagator's rows, in O(d^2) rather than as a
-dense product.  When every kick commutes exactly with the generator (an
+dense product.  When every kick commutes bitwise with the generator (an
 encoded run without coupling), the kicks are applied after the last step
 and bound none; otherwise every kick ends a step, and a step clipped short
 by a kick is accepted on a cheaper a-priori bound when that bound fits.
@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pauli import PauliString, signed_permutation
+from .pauli import PauliString, conjugate, signed_permutation
 from .linalg import (
     dagger,
     expm_hermitian,
@@ -212,33 +212,35 @@ def propagate_with_stats(
     h_of_t: AffineGenerator,
     total_time: float,
     cfg: IntegratorConfig | None = None,
-    breakpoints: tuple[float, ...] = (),
 ) -> tuple[np.ndarray, dict]:
     """Time-ordered propagator of a piecewise-affine Hermitian generator,
     and the integrator statistics.
 
     The switch times of ``h_of_t.switches`` are edges: integration steps
     are aligned so no step straddles one, and each segment between edges
-    takes the piece :func:`piece_index` gives its start.  ``breakpoints``
-    are extra edges that clip steps without switching piece.  The kicks of
-    ``h_of_t.kicks`` act as :class:`AffineGenerator` describes; each
-    distinct pulse's :func:`~aqc_shield.pauli.signed_permutation` (perm,
-    phase) is taken once; with u's rows viewed as (2^n, d / 2^n),
-    ``phase[:, None] * u_view[perm]`` equals ``(P (x) I) @ u``.  A pulse
-    whose 2^n does not divide d raises ``ValueError`` before the first
-    step.  Each distinct pulse is then checked once against every piece
-    and q, bitwise (:func:`_commutes`).  If every pulse commutes with the
-    generator, it commutes with every step's propagator, so the kicks bound
-    no step and are applied in time order after the last one.  Otherwise
-    every kick time is an edge, and the kicks are applied as evolution
-    reaches them.  The generator is read through its fields only.
+    takes the piece :func:`piece_index` gives its start; a switch to the
+    piece already in use only clips steps.  The kicks of ``h_of_t.kicks``
+    act as :class:`AffineGenerator` describes; each distinct pulse's
+    :func:`~aqc_shield.pauli.signed_permutation` (perm, phase) is taken
+    once; with u's rows viewed as (2^n, d / 2^n), ``phase[:, None] *
+    u_view[perm]`` equals ``(P (x) I) @ u``.  A pulse whose 2^n does not
+    divide d, or a total time that is negative, infinite or NaN, raises
+    ``ValueError`` before the first step.  Each distinct pulse is then
+    checked once against every piece and q: it commutes when its
+    :func:`~aqc_shield.pauli.conjugate` equals the matrix bitwise.  If every
+    pulse commutes with the generator, it commutes with every step's
+    propagator, so the kicks bound no step and are applied in time order
+    after the last one.  Otherwise every kick time is an edge, and the
+    kicks are applied as evolution reaches them.  The generator is read
+    through its fields only.
 
     Each trial step forms the sixth-order Magnus exponent Omega6 and its
     embedded eighth-order companion Omega8 on the four Gauss-Legendre nodes
-    (:func:`_magnus86_trial`).  With H(t) = P + f(t) Q both are real
-    combinations of 23 commutators of X = -iP and Y = -iQ, formed once per
-    piece (:func:`_commutator_stack`), so a trial costs one linear
-    combination and one product.  Omega6 is propagated; err >=
+    (Blanes, Casas & Ros, BIT 40, 434 (2000)).  With H(t) = P + f(t) Q both
+    are real combinations (:func:`_magnus86_rows`) of 23 commutators of
+    X = -iP and Y = -iQ, formed once per piece (:func:`_commutator_stack`),
+    so a trial costs one linear combination (:func:`_combine`) and one
+    product.  Omega6 is propagated; err >=
     ||Omega8 - Omega6||_2, of order dt^7, estimates its local error in the
     operator norm, since ||e^A - e^B|| <= ||A - B|| for anti-Hermitian A and
     B and Omega8 is two orders closer to the exact exponent.  A trial of
@@ -272,8 +274,8 @@ def propagate_with_stats(
     bound.
     """
     cfg = cfg or IntegratorConfig()
-    if total_time < 0:
-        raise ValueError(f"total time must be nonnegative, got {total_time}")
+    if not 0 <= total_time < math.inf:  # also refuses NaN
+        raise ValueError(f"total time must be finite and nonnegative, got {total_time}")
     dim = h_of_t.q.shape[0]
     stats = {"steps": 0, "rejected": 0, "segments": 0, "floored": 0, "error_estimate": 0.0}
     u = np.eye(dim, dtype=complex)
@@ -291,11 +293,11 @@ def propagate_with_stats(
                 gathers[pulse] = signed_permutation(pulse)
             kicks_at.setdefault(kt, []).append(gathers[pulse])
     # kicks that commute with the generator bound no step: applied after the last
-    deferred = all(_commutes(h_of_t, *gather) for gather in gathers.values())
+    deferred = all(np.array_equal(conjugate(pulse, a), a)
+                   for pulse in gathers for a in (*h_of_t.pieces, h_of_t.q))
     at_edges, after = ({}, kicks_at) if deferred else (kicks_at, {})
     edges = {0.0, total_time, *at_edges}
-    edges.update(b for b in (*(t for t, _ in h_of_t.switches), *breakpoints)
-                 if 0.0 < b < total_time)
+    edges.update(t for t, _ in h_of_t.switches if 0.0 < t < total_time)
     ordered = sorted(edges)
     floor = 64 * np.finfo(float).eps
     stacks: dict[int, np.ndarray] = {}
@@ -361,23 +363,6 @@ def _apply_kicks(u: np.ndarray, gathers) -> np.ndarray:
     return u
 
 
-def _commutes(h_of_t: AffineGenerator, perm: np.ndarray, phase: np.ndarray) -> bool:
-    """Whether P (x) I, given by P's signed permutation, commutes exactly
-    with every piece and q: (P (x) I) A (P (x) I)^dag equals A bitwise.
-
-    Row i of P holds phase[i] in column perm[i], so the conjugate's
-    (i, j) block over the trailing identity is phase[i] conj(phase[j])
-    times A's (perm[i], perm[j]) block.
-    """
-    n = perm.size
-    signs = np.outer(phase, phase.conj())[:, None, :, None]
-    for a in (*h_of_t.pieces, h_of_t.q):
-        view = a.reshape(n, a.shape[0] // n, n, -1)
-        if not np.array_equal(signs * view[perm][:, :, perm], view):
-            return False
-    return True
-
-
 def _commutator_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """X, Y and the 21 commutators of :data:`_COMMUTATOR_WORDS` for X = -iP
     and Y = -iQ, in one (23, d, d) array: 21 products, written in place.
@@ -394,16 +379,6 @@ def _commutator_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         ab = stack[u] @ stack[v]
         np.subtract(ab, ab.conj().T, out=stack[row])
     return stack
-
-
-def _magnus86_trial(stack, f, t0, dt) -> tuple[np.ndarray, np.ndarray]:
-    """One Magnus trial over [t0, t0 + dt]: (Omega6, Omega8 - Omega6).
-
-    The Gauss-Legendre Magnus pair of Blanes, Casas & Ros (BIT 40, 434
-    (2000)) for A = -iH = X + f(t) Y, ``stack`` from
-    :func:`_commutator_stack`, with the weights of :func:`_magnus86_rows`.
-    """
-    return _combine(_magnus86_rows(f, t0, dt), stack)
 
 
 def _magnus86_rows(f, t0, dt) -> np.ndarray:
@@ -663,8 +638,8 @@ def effective_hamiltonian(u_interaction: np.ndarray, total_time: float) -> tuple
     the trace (when |trace| exceeds 1e-8), so the error phase
     Phi = T ||H_eff|| is gauge independent.
     """
-    if total_time <= 0:
-        raise ValueError(f"total time must be positive, got {total_time}")
+    if not 0 < total_time < math.inf:  # also refuses NaN
+        raise ValueError(f"total time must be positive and finite, got {total_time}")
     tr = complex(np.trace(u_interaction))
     u = u_interaction
     if abs(tr) > 1e-8:

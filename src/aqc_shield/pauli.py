@@ -170,6 +170,22 @@ def signed_permutation(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
     return perm, phase
 
 
+def conjugate(p: PauliString, a: np.ndarray) -> np.ndarray:
+    """(P (x) I_b) a (P (x) I_b)^dag for ``a`` of dimension 2^n b, gathered
+    on the system axes of a's (2^n, b, 2^n, b) view: with P's
+    :func:`signed_permutation`, the (i, k) block is phase[i] conj(phase[k])
+    times a's (perm[i], perm[k]) block.  A dimension that 2^n does not
+    divide raises ``ValueError``.
+    """
+    dim = 1 << p.n
+    if a.shape[0] % dim:
+        raise ValueError(f"dimension {a.shape[0]} is not a multiple of 2^{p.n}")
+    perm, phase = signed_permutation(p)
+    view = a.reshape(dim, a.shape[0] // dim, dim, -1)
+    signs = np.outer(phase, phase.conj())[:, None, :, None]
+    return (signs * view[perm][:, :, perm]).reshape(a.shape)
+
+
 def to_dense(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n matrix of ``p`` (phase included), written directly
     from :func:`signed_permutation` rather than by a kron chain."""

@@ -105,13 +105,13 @@ def check_expm_eigen_reference() -> float:
 
 def check_magnus86_orders() -> float:
     # The engine's 8(6) pair on H(t) = P + f(t) Q against the logarithm of a
-    # tol = 1e-15 propagator clipped to 16 substeps, for sin(3t) and the
-    # cubic schedule over T = 2; P and Q have largest column sum 3.  Every
-    # step is centred on t = 0.4, so the local error constants stay put as
-    # dt shrinks four-fold from 0.4 to 0.1: the Omega6 error must fall by
-    # >= 2^13 and the Omega8 error by >= 2^17 (2^6.5 and 2^8.5 per halving),
-    # and at dt = 0.1 err must lie within [0.9, 2] times the true error of
-    # the propagated step exp(Omega6).
+    # tol = 1e-15 propagator clipped to 16 substeps by same-piece switches,
+    # for sin(3t) and the cubic schedule over T = 2; P and Q have largest
+    # column sum 3.  Every step is centred on t = 0.4, so the local error
+    # constants stay put as dt shrinks four-fold from 0.4 to 0.1: the Omega6
+    # error must fall by >= 2^13 and the Omega8 error by >= 2^17 (2^6.5 and
+    # 2^8.5 per halving), and at dt = 0.1 err must lie within [0.9, 2] times
+    # the true error of the propagated step exp(Omega6).
     rng = np.random.default_rng(0)
     fs = (lambda t: math.sin(3 * t),
           lambda t: model.schedule_eval("polynomial-smooth", t / 2.0)[0])
@@ -124,12 +124,13 @@ def check_magnus86_orders() -> float:
             e6, e8 = [], []
             for dt in (0.4, 0.1):
                 t0 = mid - dt / 2
-                shifted = engine.AffineGenerator((p,), q, lambda t, f=f, t0=t0: f(t0 + t))
-                substeps = tuple(dt * k / 16 for k in range(1, 16))
+                substeps = tuple((dt * k / 16, 0) for k in range(1, 16))
+                shifted = engine.AffineGenerator((p,), q, lambda t, f=f, t0=t0: f(t0 + t),
+                                                 substeps)
                 u_ref, _ = engine.propagate_with_stats(
-                    shifted, dt, engine.IntegratorConfig(tol=1e-15), substeps)
+                    shifted, dt, engine.IntegratorConfig(tol=1e-15))
                 h_ref = linalg.logm_unitary(u_ref)
-                omega6, tail = engine._magnus86_trial(stack, f, t0, dt)
+                omega6, tail = engine._combine(engine._magnus86_rows(f, t0, dt), stack)
                 e6.append(linalg.op_norm(1j * omega6 - h_ref))
                 e8.append(linalg.op_norm(1j * (omega6 + tail) - h_ref))
             err = engine._hermitian_norm_bound(tail)

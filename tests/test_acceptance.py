@@ -64,15 +64,15 @@ def sweep_results():
 
 
 @pytest.fixture(scope="module")
-def tau_ladder():
+def tau_ladder(sweep_results):
     # criterion 6: one more halving level above the sweep ladder, plus the
-    # free-evolution baseline, all at fixed total time and J = 0.1
+    # free-evolution baseline, all at fixed total time and J = 0.1; the
+    # ladder's own levels are the sweep's J = 0.1, n_b = 1 runs
     taus = (0.5,) + SWEEP_TAU
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(
-            runner.execute_experiment,
-            [sweep_config(0.1, 1, tau) for tau in taus],
-        ))
+    swept = {cfg.protocol.tau: result for cfg, result in sweep_results
+             if cfg.model.j == 0.1 and cfg.model.n_b == 1}
+    results = [runner.execute_experiment(sweep_config(0.1, 1, taus[0]))]
+    results += [swept[tau] for tau in SWEEP_TAU]
     baseline = runner.execute_experiment(sweep_config(0.1, 1, 0.25, group="none"))
     return taus, results, baseline
 

@@ -93,14 +93,14 @@ class TestPropagate:
         a = random_hermitian(rng, 16) / 4
         b = random_hermitian(rng, 16) / 4
         eye = np.eye(4)
-        h = affine(a, b, sin3)
-        lifted = affine(np.kron(a, eye), np.kron(b, eye), sin3)
         total, tol = 2.0, 1e-6
-        bp = tuple(total * k / 32 for k in range(1, 32))
-        ref = propagate_with_stats(h, total, IntegratorConfig(tol=1e-11), bp)[0]
-        u, stats = propagate_with_stats(h, total, IntegratorConfig(tol=tol), bp)
-        u_lift, stats_lift = propagate_with_stats(
-            lifted, total, IntegratorConfig(tol=tol), bp)
+        # same-piece switches: 32 segments, no change of generator
+        switches = tuple((total * k / 32, 0) for k in range(1, 32))
+        h = AffineGenerator((a,), b, sin3, switches)
+        lifted = AffineGenerator((np.kron(a, eye),), np.kron(b, eye), sin3, switches)
+        ref = propagate_with_stats(h, total, IntegratorConfig(tol=1e-11))[0]
+        u, stats = propagate_with_stats(h, total, IntegratorConfig(tol=tol))
+        u_lift, stats_lift = propagate_with_stats(lifted, total, IntegratorConfig(tol=tol))
         assert stats_lift["steps"] == stats["steps"]
         assert op_norm(u - ref) <= tol
         assert op_norm(u_lift - np.kron(ref, eye)) <= tol
@@ -167,6 +167,20 @@ class TestPropagate:
     def test_zero_time(self):
         u = propagate_with_stats(affine(np.eye(2, dtype=complex)), 0.0)[0]
         assert np.array_equal(u, np.eye(2))
+
+    @pytest.mark.parametrize("total_time", [math.nan, math.inf])
+    def test_non_finite_time_refused_before_any_step(self, monkeypatch, total_time):
+        # the step loop never reaches a NaN or infinite end, and would return
+        # the identity with steps = 0
+        def no_step(*args, **kwargs):
+            raise AssertionError("a trial step was taken")
+
+        monkeypatch.setattr(engine, "_magnus86_rows", no_step)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            propagate_with_stats(affine(np.eye(2), np.diag([1.0, -1.0]), sin3), total_time)
+        spec = dataclasses.replace(one_qubit_spec(), total_time=total_time)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            run_closed_adiabatic(spec)
 
     def test_non_hermitian_piece_or_q_rejected(self):
         # the generator refuses at construction, before any step is taken
@@ -246,7 +260,7 @@ class TestMagnus6:
         t0 = 0.3
         errors, gaps = [], []
         for dt in (0.1, 0.05):
-            omega6, tail = engine._magnus86_trial(stack, sin3, t0, dt)
+            omega6, tail = engine._combine(engine._magnus86_rows(sin3, t0, dt), stack)
             shifted = affine(a, b, lambda t: sin3(t0 + t))
             ref, _ = propagate_with_stats(shifted, dt, IntegratorConfig(tol=1e-13))
             errors.append(op_norm(expm_hermitian(1j * omega6, 1.0) - ref))
@@ -264,7 +278,7 @@ class TestMagnus6:
         gram = engine._tail_gram(stack)
         for dt in (0.3, 0.1, 0.02):
             rows = engine._magnus86_rows(sin3, 0.3, dt)
-            _, tail = engine._magnus86_trial(stack, sin3, 0.3, dt)
+            _, tail = engine._combine(rows, stack)
             cert = engine._gram_certificate(rows[1, engine._TAIL], *gram)
             frobenius = np.linalg.norm(tail)
             assert cert >= frobenius >= op_norm(tail)
@@ -281,8 +295,8 @@ class TestMagnus6:
         gram, slack = engine._tail_gram(stack)
 
         def tail_at(t0):
-            r = engine._magnus86_rows(sin3, t0, 0.05)[1, engine._TAIL]
-            return r, engine._magnus86_trial(stack, sin3, t0, 0.05)[1]
+            rows = engine._magnus86_rows(sin3, t0, 0.05)
+            return rows[1, engine._TAIL], engine._combine(rows, stack)[1]
 
         r0, tail0 = tail_at(0.3)
         anchor = engine._anchor(r0, gram, engine._hermitian_norm_bound(tail0))
@@ -438,6 +452,23 @@ def quick_protected(j=0.1, total_time=2.0, tau=0.25, w=0.0, tol=1e-9, group=None
     return spec, bath, schedule, coupled, uncoupled
 
 
+def protected_propagators(total_time, w, tau, n_b, tol):
+    """(u, stats) of the coupled, twin and frame propagations of the J = 0.1
+    quick_protected run at tolerance ``tol``."""
+    spec, bath, schedule, coupled, twin = quick_protected(
+        j=0.1, total_time=total_time, tau=tau, w=w, tol=tol, n_b=n_b)
+    h_sys = engine._timed_hamiltonian(spec, schedule, False)
+    frame = propagate_with_stats(h_sys, schedule.total_time, IntegratorConfig(tol=tol))
+    return [(coupled.u_total, coupled.diagnostics), (twin.u_total, twin.diagnostics), frame]
+
+
+@functools.cache
+def reference_propagators(total_time, w, tau, n_b):
+    """:func:`protected_propagators` at tol = 1e-12, computed once per
+    configuration for all the tolerances checked against it."""
+    return protected_propagators(total_time, w, tau, n_b, 1e-12)
+
+
 def joint_twin_propagator(spec, bath, schedule, tol):
     """The uncoupled twin propagated on the joint space: H_sys(t) (x) I +
     I (x) H_B with joint kicks, H_sys built here from spec.interpolate, the
@@ -530,15 +561,8 @@ class TestRunProtected:
         # the summed estimate of each propagation against its true
         # operator-norm error, measured on a tol = 1e-12 run: never below
         # it, and at most 50 times above
-        def runs(t):
-            spec, bath, schedule, coupled, twin = quick_protected(
-                j=0.1, total_time=total_time, tau=tau, w=w, tol=t, n_b=n_b)
-            h_sys = engine._timed_hamiltonian(spec, schedule, False)
-            frame = propagate_with_stats(h_sys, schedule.total_time, IntegratorConfig(tol=t))
-            return [(coupled.u_total, coupled.diagnostics), (twin.u_total, twin.diagnostics),
-                    frame]
-
-        for (u, stats), (u_ref, _) in zip(runs(tol), runs(1e-12)):
+        runs = protected_propagators(total_time, w, tau, n_b, tol)
+        for (u, stats), (u_ref, _) in zip(runs, reference_propagators(total_time, w, tau, n_b)):
             ratio = stats["error_estimate"] / op_norm(u - u_ref)
             assert 1.0 <= ratio <= 50.0
 
@@ -726,6 +750,16 @@ class TestEffectiveHamiltonian:
     def test_rejects_bad_time(self):
         with pytest.raises(ValueError, match="positive"):
             effective_hamiltonian(np.eye(2, dtype=complex), 0.0)
+
+    @pytest.mark.parametrize("total_time", [math.nan, math.inf])
+    def test_rejects_non_finite_time_before_the_logarithm(self, monkeypatch, total_time):
+        # NaN passes a `<= 0` test and would give an all-NaN H_eff with Phi = 0
+        def no_log(*args, **kwargs):
+            raise AssertionError("the logarithm was taken")
+
+        monkeypatch.setattr(engine, "logm_unitary", no_log)
+        with pytest.raises(ValueError, match="positive and finite"):
+            effective_hamiltonian(np.eye(2, dtype=complex), total_time)
 
 
 class TestMagnusFirstOrder:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from aqc_shield.pauli import (
+    PHASES,
     PauliString,
     apply_pauli,
     commutes,
+    conjugate,
     pauli_mul,
     signed_permutation,
     to_dense,
@@ -126,6 +128,23 @@ class TestDense:
             assert out.shape == stack.shape
             for idx in np.ndindex(3, 4):
                 assert np.array_equal(out[idx], apply_pauli(p, stack[idx]))
+
+    def test_conjugate_equals_dense_lifted_conjugation(self, rng):
+        # every phase, on random strings lifted by I_b: the gather is exact
+        for n in (1, 2, 3):
+            for b in (1, 2, 4):
+                d = (1 << n) * b
+                for phase in PHASES:
+                    p = PauliString(phase, rand_pauli(rng, n).letters)
+                    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                    lift = np.kron(to_dense(p), np.eye(b))
+                    assert np.array_equal(conjugate(p, a), lift @ a @ lift.conj().T), str(p)
+
+    def test_conjugate_rejects_indivisible_dimension(self):
+        p = PauliString.from_letters("XZ")
+        for d in (2, 6):
+            with pytest.raises(ValueError, match=f"dimension {d} is not a multiple of 2\\^2"):
+                conjugate(p, np.eye(d))
 
     def test_apply_rejects_wrong_dimension(self):
         p = PauliString.from_letters("XZ")

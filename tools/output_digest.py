@@ -13,7 +13,9 @@ and its closed final state are saved as ``.npy`` files, with the bath
 Hamiltonian ``h_b`` and the coupling ``h_sb`` that ``model.linear_decoherence``
 builds from the configuration.  After the digests, each ``gap`` run's summary
 line (``minimal gap ... at s*=...``), which goes to standard error and into no
-file, is printed as it stands.  A refactor that
+file, is printed as it stands, and then the margin of every check in
+``verify.ALL_CHECKS`` with ``repr``, one line per check (the runtime budget,
+which is no margin, is left out).  A refactor that
 claims byte-identical outputs is checked by one ``diff`` of the listings of
 the two commits.  Logs go to standard error; nothing under ``perfbench/`` is
 written.
@@ -35,7 +37,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from aqc_shield import cli, config, model, runner  # noqa: E402
+from aqc_shield import cli, config, model, runner, verify  # noqa: E402
 
 BATH_SEEDS = (1234, 1241, 1248)
 
@@ -75,6 +77,15 @@ def _save_run_states(path: str, out_dir: str) -> None:
         np.save(os.path.join(out_dir, f"{label}.npy"), array)
 
 
+def _margins() -> list[str]:
+    """``name: repr(margin)`` for every check of ``verify.ALL_CHECKS``, run as
+    ``verify.verify`` runs them."""
+    reports: dict = {}
+    return [f"margin {name}: "
+            f"{float(check(reports) if check in verify.SHARES_REPORTS else check())!r}"
+            for name, check in verify.ALL_CHECKS]
+
+
 def main() -> int:
     summaries = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -98,7 +109,7 @@ def main() -> int:
             with open(path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             print(f"{digest}  {os.path.relpath(path, tmp)}")
-    for line in summaries:
+    for line in summaries + _margins():
         print(line)
     return 0
 
