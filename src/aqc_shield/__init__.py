@@ -56,7 +56,6 @@ from .engine import (
 )
 from .metrics import (
     ErrorReport,
-    RunMeta,
     PhiBudget,
     trace_distance,
     error_report,

@@ -202,9 +202,11 @@ class RunArtifacts:
 
 @dataclass
 class ClosedRun:
-    """Closed-system adiabatic run: final state and its distance to the target."""
+    """Closed-system adiabatic run: final state, its ``target`` (the s = 1
+    ground state, the error report's one reference state) and their distance."""
 
     psi_final: np.ndarray
+    target: np.ndarray
     delta_ad: float
 
 
@@ -546,7 +548,7 @@ def run_closed_adiabatic(spec: AdiabaticSpec, cfg: IntegratorConfig | None = Non
     # i.e. the norm of the component of psi orthogonal to the target;
     # computing that component directly avoids cancellation near zero.
     residual = psi - target * np.vdot(target, psi)
-    return ClosedRun(psi_final=psi, delta_ad=float(np.linalg.norm(residual)))
+    return ClosedRun(psi_final=psi, target=target, delta_ad=float(np.linalg.norm(residual)))
 
 
 def protected_hamiltonian(

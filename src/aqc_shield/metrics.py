@@ -8,6 +8,9 @@ run-level distances are:
 * delta_ad -- closed-run final state vs instantaneous target,
 * d_tot    -- coupled joint state vs the ideal adiabatic joint state.
 
+The ideal adiabatic system state is the closed run's target, the state
+delta_ad is measured against; run identifiers come from the pulse schedule.
+
 Bound verdicts carry signed slack (bound minus measured value, plus the
 numerical allowance); nonnegative slack means the bound held.
 
@@ -30,7 +33,7 @@ import numpy as np
 
 from .engine import ClosedRun, RunArtifacts
 from .linalg import partial_trace
-from .protocols import ScalingRule
+from .protocols import PulseSchedule, ScalingRule
 
 VERDICT_SLACK = 1e-9
 
@@ -51,19 +54,6 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"state dimensions differ: {a.shape} vs {b.shape}")
     evals = np.linalg.eigvalsh(a - b)
     return float(0.5 * np.sum(np.abs(evals)))
-
-
-@dataclass(frozen=True)
-class RunMeta:
-    """Run identifiers carried into the serialized report."""
-
-    n: int = 0
-    j_coupling: float = 0.0
-    tau: float = 0.0
-    w: float = 0.0
-    k_pulses: int = 0
-    l_pulses: int = 0
-    total_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -132,7 +122,8 @@ def dd_error_prediction(rule: ScalingRule, n: int) -> tuple[float, float, float,
 class ErrorReport:
     """Distances, error phase, bound slacks, and optional budget breakdowns."""
 
-    meta: RunMeta
+    schedule: PulseSchedule
+    j_coupling: float
     delta_s: float
     d_d: float
     delta_ad: float
@@ -151,9 +142,9 @@ class ErrorReport:
         return all(self.verdicts.values())
 
     def csv_values(self) -> tuple[float, ...]:
-        m = self.meta
+        p = self.schedule
         return (
-            m.n, m.j_coupling, m.tau, m.w, m.k_pulses, m.l_pulses, m.total_time,
+            p.group.n, self.j_coupling, p.tau, p.w, p.order, p.total_pulses, p.total_time,
             self.delta_ad, self.d_d, self.delta_s, self.d_tot, self.phi,
             self.slacks["eq3"], self.slacks["eq5"],
         )
@@ -182,16 +173,17 @@ def error_report(
     coupled: RunArtifacts,
     uncoupled: RunArtifacts,
     closed: ClosedRun,
-    ideal_system: np.ndarray,
-    meta: RunMeta | None = None,
+    schedule: PulseSchedule,
+    j_coupling: float,
     budget6: PhiBudget | None = None,
     pred8: tuple[float, float, float, float] | None = None,
 ) -> ErrorReport:
     """Assemble all distances and bound verdicts for one paired run.
 
-    The ideal adiabatic joint state is the ideal system state tensored with
-    the bath marginal of the uncoupled run; with complete pulse cycles and
-    the non-interference condition this realizes the abstract ideal state
+    delta_S and d_tot are measured against ``closed.target``, as delta_ad
+    is.  The ideal adiabatic joint state is that target tensored with the
+    bath marginal of the uncoupled run; with complete pulse cycles and the
+    non-interference condition this realizes the abstract ideal state
     without constructing the control factor explicitly.
     """
     if coupled.rho_final.shape != uncoupled.rho_final.shape:
@@ -200,6 +192,7 @@ def error_report(
     t_u = uncoupled.diagnostics.get("total_time")
     if t_c is not None and t_u is not None and abs(t_c - t_u) > 1e-12 * max(1.0, abs(t_c)):
         raise ValueError(f"run timing mismatch: {t_c} vs {t_u}")
+    ideal_system = np.outer(closed.target, closed.target.conj())
     dim_joint = coupled.rho_final.shape[0]
     dim_s = ideal_system.shape[0]
     if dim_joint % dim_s != 0:
@@ -222,7 +215,8 @@ def error_report(
         "eq5": eq5_bound + VERDICT_SLACK - d_d,
     }
     return ErrorReport(
-        meta=meta or RunMeta(),
+        schedule=schedule,
+        j_coupling=j_coupling,
         delta_s=delta_s,
         d_d=d_d,
         delta_ad=delta_ad,

@@ -352,16 +352,17 @@ def _newton_min_gap(spec: AdiabaticSpec, lo: float, hi: float, s: float) -> tupl
 
 
 def beta_system_bath(spec: AdiabaticSpec, h_b: np.ndarray) -> float:
-    """Exact norm of H(s) (+ penalty) (x) I + I (x) H_B, maximized over 21
-    evenly spaced s in [0, 1].
+    """Exact norm of H(s) (+ penalty) (x) I + I (x) H_B, maximized over s.
 
-    Spectra of the two commuting summands add, so the norm is the largest
-    |lambda_i + mu_j| over extreme eigenvalues.
+    Spectra of the two commuting summands add, so the norm is
+    max(lambda_max + mu_hi, -(lambda_min + mu_lo)).  H(s) (+ penalty) is
+    affine in f = f(s), so both terms are maxima of affine functions of f,
+    hence convex in f; f maps [0, 1] onto [0, 1]: the maximum is at s = 0 or 1.
     """
     mu = np.linalg.eigvalsh(h_b)
     mu_lo, mu_hi = float(mu[0]), float(mu[-1])
     best = 0.0
-    for s in np.linspace(0.0, 1.0, 21):
+    for s in (0.0, 1.0):
         h = spec.interpolate(s)
         if spec.penalty is not None:
             h = h + spec.penalty

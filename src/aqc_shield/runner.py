@@ -12,8 +12,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import codes, engine, metrics, model, protocols
 from .config import (ConfigError, ExperimentConfig, SweepSpec, apply_override, build_parts,
                      validate_config)
@@ -76,8 +74,6 @@ def execute_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         built.spec, bath, built.schedule, bath_state=r.bath_state, cfg=icfg,
     )
     closed = engine.run_closed_adiabatic(built.spec, cfg=icfg)
-    target = engine.instantaneous_ground_state(built.spec, 1.0)
-    ideal_system = np.outer(target, target.conj())
     beta = model.beta_system_bath(built.spec, bath.h_b)
     budget = metrics.phi_budget(
         j_coupling=m.j,
@@ -92,18 +88,8 @@ def execute_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     pred = None
     if built.scaling_rule is not None:
         pred = metrics.dd_error_prediction(built.scaling_rule, m.n)
-    meta = metrics.RunMeta(
-        n=m.n,
-        j_coupling=m.j,
-        tau=built.schedule.tau,
-        w=built.schedule.w,
-        k_pulses=built.schedule.order,
-        l_pulses=built.schedule.total_pulses,
-        total_time=built.schedule.total_time,
-    )
     report = metrics.error_report(
-        coupled, uncoupled, closed, ideal_system,
-        meta=meta, budget6=budget, pred8=pred,
+        coupled, uncoupled, closed, built.schedule, m.j, budget6=budget, pred8=pred,
     )
     return ExperimentResult(report, coupled, uncoupled, closed, built)
 
@@ -169,11 +155,13 @@ def run_sweep(
     """
     configs = sweep_points(sweep)
     jobs = list(enumerate(configs))
-    if parallelism > 1:
+    # the pool starts all its workers at the first submit: no more than points
+    workers = min(parallelism, len(jobs))
+    if workers > 1:
         # imported here, its only use: a single experiment never loads it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, jobs))
     else:
         rows = [_sweep_worker(job) for job in jobs]

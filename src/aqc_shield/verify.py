@@ -480,7 +480,7 @@ def check_phi_distance_outer(reports: dict | None = None) -> float:
     worst = np.inf
     for report in _small_reports(reports):
         if report.phi <= 1.0:
-            worst = min(worst, report.phi + 1e-9 - report.d_d)
+            worst = min(worst, report.phi + metrics.VERDICT_SLACK - report.d_d)
     return float(worst)
 
 

@@ -38,7 +38,6 @@ SWEEP_TOTAL_TIME = 8.0
 SWEEP_J = (0.05, 0.1, 0.2)
 SWEEP_N_B = (1, 2)
 SWEEP_TAU = (0.25, 0.125, 0.0625, 0.03125)
-TOL = 1e-9
 
 
 def sweep_config(j, n_b, tau, group="universal", total_time=SWEEP_TOTAL_TIME):
@@ -149,7 +148,7 @@ def test_criterion_5_phi_distance_as_printed(sweep_results, capsys):
         phi_u = result.uncoupled.phi
         sharp = min(1.0, math.sin(min(phi_c, math.pi / 2))
                     + math.sin(min(phi_u, math.pi / 2)))
-        assert rep.d_d <= sharp + TOL
+        assert rep.d_d <= sharp + VERDICT_SLACK
         worst_sharp = max(worst_sharp, rep.d_d / sharp)
 
         # the report evaluates the printed form at the coupled run's phase
@@ -158,7 +157,7 @@ def test_criterion_5_phi_distance_as_printed(sweep_results, capsys):
         slack = rep.slacks["eq5"]
         assert slack == pytest.approx(printed + VERDICT_SLACK - rep.d_d, rel=0, abs=1e-15)
         assert rep.verdicts["eq5"] == (slack >= 0)
-        if rep.d_d > printed + TOL:
+        if rep.d_d > printed + VERDICT_SLACK:
             violations += 1
         worst_printed = max(worst_printed, rep.d_d / printed)
         checked += 1
@@ -178,8 +177,8 @@ def test_criterion_5_companion_forms(sweep_results, capsys):
     for _, result in sweep_results:
         rep = result.report
         if rep.phi <= 1.0:
-            ok &= rep.d_d <= math.expm1(2 * rep.phi) / 2 + TOL
-            ok &= rep.d_d <= rep.phi + TOL
+            ok &= rep.d_d <= math.expm1(2 * rep.phi) / 2 + VERDICT_SLACK
+            ok &= rep.d_d <= rep.phi + VERDICT_SLACK
     with capsys.disabled():
         assert report_line(ok, "criterion 5 (companions): Dyson form and d_D <= Phi hold "
                                "on every run")

@@ -8,7 +8,6 @@ from conftest import random_density
 from aqc_shield.linalg import partial_trace
 from aqc_shield.metrics import (
     CSV_COLUMNS,
-    RunMeta,
     csv_header,
     dd_error_prediction,
     error_report,
@@ -16,7 +15,8 @@ from aqc_shield.metrics import (
     phi_budget,
     trace_distance,
 )
-from aqc_shield.protocols import ScalingRule
+from aqc_shield.codes import global_x_group
+from aqc_shield.protocols import ScalingRule, pdd_schedule
 
 # Frozen by direct evaluation of the third budget term at
 # 2*beta*Tc = 0.08: JT * ((e^0.08 - 1)/0.08 - 1) with JT = 1.
@@ -132,11 +132,10 @@ class TestSerialization:
             phi=0.0,
             diagnostics={"total_time": 1.0},
         )
-        closed = ClosedRun(psi_final=np.array([1.0, 0.0]), delta_ad=0.0)
-        ideal = np.diag([1.0, 0.0]).astype(complex)
-        meta = RunMeta(n=1, j_coupling=0.0, tau=0.25, w=0.0, k_pulses=4,
-                       l_pulses=4, total_time=1.0)
-        report = error_report(art, art, closed, ideal, meta=meta)
+        closed = ClosedRun(psi_final=np.array([1.0, 0.0]), target=np.array([1.0, 0.0]),
+                           delta_ad=0.0)
+        schedule = pdd_schedule(global_x_group(1), 0.25, 0.0, 2)  # T = 1
+        report = error_report(art, art, closed, schedule, 0.0)
         row = report.csv_row().split(",")
         assert len(row) == len(CSV_COLUMNS)
         assert row[0] == "1" and row[2] == "0.25"
@@ -177,10 +176,32 @@ class TestErrorReport:
                 diagnostics={"total_time": total_time},
             )
 
-        closed = ClosedRun(psi_final=np.array([1.0, 0.0]), delta_ad=0.0)
-        ideal = np.eye(2, dtype=complex) / 2
+        closed = ClosedRun(psi_final=np.array([1.0, 0.0]), target=np.array([1.0, 0.0]),
+                           delta_ad=0.0)
+        schedule = pdd_schedule(global_x_group(1), 0.25, 0.0, 2)
         with pytest.raises(ValueError, match="timing"):
-            error_report(art(1.0), art(2.0), closed, ideal)
+            error_report(art(1.0), art(2.0), closed, schedule, 0.0)
+
+    def test_distances_measured_against_closed_target(self):
+        # system cos(t)|0> + sin(t)|1>, bath |0>: against target |0> delta_S
+        # and d_tot are sin(t), against |1> they are cos(t)
+        from aqc_shield.engine import ClosedRun, RunArtifacts
+
+        theta = 0.3
+        psi = np.kron([math.cos(theta), math.sin(theta)], [1.0, 0.0]).astype(complex)
+        rho = np.outer(psi, psi.conj())
+        art = RunArtifacts(
+            u_total=np.eye(4, dtype=complex), rho_final=rho,
+            rho_s_final=partial_trace(rho, (2, 2), (0,)),
+            phi=0.0,
+            diagnostics={"total_time": 1.0},
+        )
+        schedule = pdd_schedule(global_x_group(1), 0.25, 0.0, 2)
+        for target, expected in (([1.0, 0.0], math.sin(theta)), ([0.0, 1.0], math.cos(theta))):
+            closed = ClosedRun(psi_final=np.array(target), target=np.array(target), delta_ad=0.0)
+            report = error_report(art, art, closed, schedule, 0.0)
+            assert report.delta_s == pytest.approx(expected, abs=1e-12)
+            assert report.d_tot == pytest.approx(expected, abs=1e-12)
 
 
 class TestPrintedPhiConstant:

@@ -309,6 +309,25 @@ class TestLinearDecoherence:
         beta_s = max(op_norm(spec.interpolate(s)) for s in np.linspace(0, 1, 21))
         assert beta <= beta_s + op_norm(bath.h_b) + 1e-12
 
+    def test_beta_is_max_norm_of_dense_joint_hamiltonian(self):
+        # penalized encoded spec, polynomial-smooth schedule: the two-endpoint
+        # beta equals the largest norm of the dense joint H over a fine s grid
+        import dataclasses
+
+        from aqc_shield.codes import penalty_hamiltonian, universal_group
+
+        spec = dataclasses.replace(
+            encoded_preset_spec(4), schedule=Schedule("polynomial-smooth"),
+            penalty=penalty_hamiltonian(universal_group(4), 0.7),
+        )
+        bath = linear_decoherence(4, 2, 0.1, seed=11, beta_b=1.3)
+        eye_s, eye_b = np.eye(16), np.eye(4)
+        dense = max(
+            op_norm(np.kron(spec.interpolate(s) + spec.penalty, eye_b) + np.kron(eye_s, bath.h_b))
+            for s in np.linspace(0.0, 1.0, 201)
+        )
+        assert beta_system_bath(spec, bath.h_b) == pytest.approx(dense, rel=0, abs=1e-12)
+
 
 class TestMinGap:
     def test_two_level_closed_form(self):

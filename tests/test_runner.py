@@ -80,9 +80,10 @@ class TestExecute:
         result = runner.execute_experiment(quick_cfg(tmp_path))
         for name in ("monotonic", "triangle", "eq3"):
             assert result.report.slacks[name] >= 0
-        meta = result.report.meta
-        assert meta.n == 4 and meta.k_pulses == 4
-        assert meta.l_pulses == meta.k_pulses * result.built.schedule.cycles
+        assert result.report.schedule is result.built.schedule
+        n, _, _, _, k_pulses, l_pulses = result.report.csv_values()[:6]
+        assert n == 4 and k_pulses == 4
+        assert l_pulses == k_pulses * result.built.schedule.cycles
         assert result.report.budget6 is not None
 
     def test_j_zero_decoupling_distance_is_zero(self, tmp_path):
@@ -236,6 +237,33 @@ class TestSweep:
         serial = (tmp_path / "serial" / "run_sweep.csv").read_bytes()
         parallel = (tmp_path / "parallel" / "run_sweep.csv").read_bytes()
         assert serial == parallel
+
+    def test_parallel_pool_no_larger_than_sweep(self, tmp_path, monkeypatch):
+        # the pool starts all its workers at once; an in-process stand-in
+        # records how many were asked for and starts no process
+        import concurrent.futures
+
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        rows = runner.run_sweep(self.sweep_spec(tmp_path, taus=(0.5, 0.25)), parallelism=64)
+        assert started == [2]
+        assert [status for _, status, _ in rows] == ["ok", "ok"]
+        runner.run_sweep(self.sweep_spec(tmp_path, taus=(0.5,)), parallelism=64)
+        assert started == [2]
 
     def test_point_failure_recorded(self, tmp_path, capsys, monkeypatch):
         # a point that passes validation and fails while it runs is recorded

@@ -15,7 +15,9 @@ builds from the configuration.  After the digests, each ``gap`` run's summary
 line (``minimal gap ... at s*=...``), which goes to standard error and into no
 file, is printed as it stands, and then the margin of every check in
 ``verify.ALL_CHECKS`` with ``repr``, one line per check (the runtime budget,
-which is no margin, is left out).  A refactor that
+which is no margin, is left out), and last each simulate run's
+``report.budget6`` (the three Phi-budget terms, their total and both flags)
+and ``report.pred8``, with ``repr``; these reach no file.  A refactor that
 claims byte-identical outputs is checked by one ``diff`` of the listings of
 the two commits.  Logs go to standard error; nothing under ``perfbench/`` is
 written.
@@ -61,7 +63,8 @@ def _write_ini(source: str, seed: int, out_dir: str) -> str:
     return path
 
 
-def _save_run_states(path: str, out_dir: str) -> None:
+def _save_run_states(path: str, out_dir: str) -> list[str]:
+    """Save the run's states and return its ``budget6`` and ``pred8`` lines."""
     cfg = config.load_config(path)
     result = runner.execute_experiment(cfg)
     m = cfg.model
@@ -75,6 +78,8 @@ def _save_run_states(path: str, out_dir: str) -> None:
     }
     for label, array in arrays.items():
         np.save(os.path.join(out_dir, f"{label}.npy"), array)
+    report = result.report
+    return [f"budget6: {report.budget6!r}", f"pred8: {report.pred8!r}"]
 
 
 def _margins() -> list[str]:
@@ -87,7 +92,7 @@ def _margins() -> list[str]:
 
 
 def main() -> int:
-    summaries = []
+    summaries, budgets = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for source in sorted(glob.glob(os.path.join(ROOT, "perfbench", "workloads", "*.ini"))):
             name = os.path.splitext(os.path.basename(source))[0]
@@ -101,7 +106,8 @@ def main() -> int:
                 sys.stderr.write(log.getvalue())
                 print(f"{name} seed {seed}: {command} exit {code}", file=sys.stderr)
                 if command == "simulate":
-                    _save_run_states(path, out_dir)
+                    budgets += [f"{name}-{seed}: {line}"
+                                for line in _save_run_states(path, out_dir)]
                 if command == "gap":
                     summaries += [f"{name}-{seed}: {line}" for line in log.getvalue().splitlines()
                                   if line.startswith("minimal gap")]
@@ -109,7 +115,7 @@ def main() -> int:
             with open(path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             print(f"{digest}  {os.path.relpath(path, tmp)}")
-    for line in summaries + _margins():
+    for line in summaries + _margins() + budgets:
         print(line)
     return 0
 
