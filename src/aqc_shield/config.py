@@ -294,6 +294,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("model.e_p needs n = 0 (mod 4); see the stabilizer phase caveat")
     if m.delta0 <= 0:
         raise ConfigError("model.delta0 must be positive")
+    if m.seed < 0:
+        raise ConfigError("model.seed must be nonnegative: it seeds the bath's generator")
 
     explicit = [k for k in _EXPLICIT_KEYS if getattr(p, k) is not None]
     scaling = [k for k in _SCALING_KEYS[:4] if getattr(p, k) is not None]

@@ -58,8 +58,10 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PhiBudget:
-    """Worst-case error-phase budget, per term.
+    """Worst-case error-phase budget of one pulse schedule, per term.
 
+    With T, tau, w, T_c and L/K the schedule's total time, interval, pulse
+    width, cycle time and cycle count:
     term1 = alpha (JT)^2 / (L/K): accumulated lowest-order Magnus residual;
     term2 = JTw/(tau+w): finite pulse width;
     term3 = JT ((exp(2 beta Tc) - 1)/(2 beta Tc) - 1): frame rotation over
@@ -75,22 +77,15 @@ class PhiBudget:
     magnus_convergent: bool
 
 
-def phi_budget(
-    j_coupling: float,
-    total_time: float,
-    w: float,
-    tau: float,
-    k_pulses: int,
-    l_pulses: int,
-    beta: float,
-    alpha: float = 1.0,
-) -> PhiBudget:
-    """Evaluate the three-term worst-case budget for the error phase."""
-    jt = j_coupling * total_time
-    cycles = l_pulses / k_pulses
-    t_c = k_pulses * (tau + w)
-    term1 = alpha * jt * jt / cycles if cycles > 0 else math.inf
-    term2 = jt * w / (tau + w) if (tau + w) > 0 else 0.0
+def phi_budget(schedule: PulseSchedule, j_coupling: float, beta: float,
+               alpha: float = 1.0) -> PhiBudget:
+    """Evaluate the three-term worst-case budget for the error phase of a run
+    under ``schedule`` (which gives T, tau, w, K and L) at coupling strength
+    J and system-bath norm ``beta``."""
+    jt = j_coupling * schedule.total_time
+    t_c = schedule.cycle_time
+    term1 = alpha * jt * jt / schedule.cycles
+    term2 = jt * schedule.w / schedule.slot_time
     x = 2 * beta * t_c
     term3 = jt * (np.expm1(x) / x - 1.0) if x > 0 else 0.0
     return PhiBudget(

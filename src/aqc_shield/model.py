@@ -81,8 +81,9 @@ def _schedule_formulas(kind: str, s: float) -> tuple[Callable[[float], float], .
 
 @dataclass(frozen=True)
 class AdiabaticSpec:
-    """Interpolating system Hamiltonian plus run bookkeeping.
+    """Interpolating system Hamiltonian: terms, f, code basis and penalty.
 
+    It holds no time: T is the run's, owned by its ``PulseSchedule``.
     ``code_basis``, when given, is a 2^n x 2^k isometry whose columns span
     the code space; ground states, spectra and the closed run are then
     taken inside that subspace (encoded operation).  ``penalty`` is the dense
@@ -93,7 +94,6 @@ class AdiabaticSpec:
     h0_terms: TermList
     h1_terms: TermList
     schedule: Schedule = Schedule()
-    total_time: float = 1.0
     code_basis: np.ndarray | None = None
     penalty: np.ndarray | None = None
     penalty_during_pulse: bool = True

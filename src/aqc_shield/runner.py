@@ -55,9 +55,10 @@ def build_model(cfg: ExperimentConfig) -> BuiltModel:
         h0_terms=h0,
         h1_terms=h1,
         schedule=kind,
-        total_time=schedule.total_time,
         code_basis=codes.code_from_universal_group(m.n)[0].basis_matrix() if m.code else None,
-        penalty=codes.penalty_hamiltonian(schedule.group, m.e_p) if m.e_p > 0 else None,
+        # the code's stabilizers, whatever group the pulses cycle through
+        penalty=(codes.penalty_hamiltonian(codes.universal_group(m.n), m.e_p)
+                 if m.e_p > 0 else None),
         penalty_during_pulse=m.penalty_during_pulse,
     )
     return BuiltModel(spec=spec, schedule=schedule, scaling_rule=scaling_rule)
@@ -73,18 +74,9 @@ def execute_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     coupled, uncoupled = engine.run_protected(
         built.spec, bath, built.schedule, bath_state=r.bath_state, cfg=icfg,
     )
-    closed = engine.run_closed_adiabatic(built.spec, cfg=icfg)
+    closed = engine.run_closed_adiabatic(built.spec, built.schedule.total_time, cfg=icfg)
     beta = model.beta_system_bath(built.spec, bath.h_b)
-    budget = metrics.phi_budget(
-        j_coupling=m.j,
-        total_time=built.schedule.total_time,
-        w=built.schedule.w,
-        tau=built.schedule.tau,
-        k_pulses=built.schedule.order,
-        l_pulses=built.schedule.total_pulses,
-        beta=beta,
-        alpha=r.alpha,
-    )
+    budget = metrics.phi_budget(built.schedule, m.j, beta, alpha=r.alpha)
     pred = None
     if built.scaling_rule is not None:
         pred = metrics.dd_error_prediction(built.scaling_rule, m.n)

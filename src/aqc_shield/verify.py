@@ -401,9 +401,7 @@ def check_magnus_ratio() -> float:
     errors = []
     for tau in (0.2, 0.1, 0.05):
         schedule = protocols.pdd_schedule(group, tau, 0.0, 1)
-        spec = model.AdiabaticSpec(
-            n=2, h0_terms=[], h1_terms=[], total_time=schedule.total_time,
-        )
+        spec = model.AdiabaticSpec(n=2, h0_terms=[], h1_terms=[])
         h = engine.protected_hamiltonian(spec, bath_zero, schedule)
         u_total, _ = engine.propagate_with_stats(h, schedule.total_time)
         u_frame = engine.frame_unitary(spec, bath_zero, schedule)
@@ -416,10 +414,9 @@ def check_magnus_ratio() -> float:
 
 
 def check_budget_values() -> float:
-    b = metrics.phi_budget(
-        j_coupling=0.1, total_time=10.0, w=0.0, tau=0.01,
-        k_pulses=4, l_pulses=400, beta=1.0,
-    )
+    # J T = 0.25 * 400 * 0.01 = 1, L/K = 100 and 2 beta T_c = 0.08, exactly
+    schedule = protocols.pdd_schedule(codes.universal_group(4), 0.01, 0.0, 100)
+    b = metrics.phi_budget(schedule, 0.25, beta=1.0)
     worst = abs(b.term1 - 0.01)
     worst += abs(b.term3 - (math.expm1(0.08) / 0.08 - 1.0))
     if b.term2 != 0.0:  # w = 0 leaves no pulse-width term at all

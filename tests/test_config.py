@@ -137,6 +137,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="model.beta_b must be nonnegative"):
             loads_config(MINIMAL.replace("j = 0.1", "j = 0.1\nbeta_b = -1"))
 
+    def test_negative_seed_rejected(self, tmp_path):
+        # refused on load, not when the bath's generator is seeded
+        path = tmp_path / "seed.cfg"
+        path.write_text(MINIMAL.replace("j = 0.1", "j = 0.1\nseed = 0"))
+        assert load_config(str(path)).model.seed == 0
+        path.write_text(MINIMAL.replace("j = 0.1", "j = 0.1\nseed = -3"))
+        with pytest.raises(ConfigError, match="model.seed must be nonnegative"):
+            load_config(str(path))
+
     def test_negative_alpha_rejected(self):
         assert loads_config(MINIMAL + "\n[run]\nalpha = 0\n").run.alpha == 0.0
         with pytest.raises(ConfigError, match="run.alpha must be nonnegative"):

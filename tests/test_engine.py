@@ -33,24 +33,23 @@ from aqc_shield.pauli import PauliString, to_dense
 from aqc_shield.protocols import pdd_schedule, pulse_generator
 
 
-def one_qubit_spec(total_time=10.0, kind="smooth-endpoint"):
+def one_qubit_spec(kind="smooth-endpoint"):
     return AdiabaticSpec(
         n=1,
         h0_terms=[(-1.0, PauliString.from_letters("X"))],
         h1_terms=[(-1.0, PauliString.from_letters("Z"))],
         schedule=Schedule(kind),
-        total_time=total_time,
     )
 
 
-def encoded_spec(total_time, e_terms=None):
+def encoded_spec():
     code, _ = code_from_universal_group(4)
     h0 = [(-1.0, PauliString.from_letters("XXII")), (-1.0, PauliString.from_letters("XIXI"))]
     h1 = [(-1.0, PauliString.from_letters("IZIZ")), (-0.8, PauliString.from_letters("IIZZ")),
           (-0.5, PauliString.from_letters("IZZI"))]
     return AdiabaticSpec(
         n=4, h0_terms=h0, h1_terms=h1, schedule=Schedule("smooth-endpoint"),
-        total_time=total_time, code_basis=code.basis_matrix(),
+        code_basis=code.basis_matrix(),
     )
 
 
@@ -123,7 +122,7 @@ class TestPropagate:
         # one kick of a zero generator and over the whole schedule, against
         # its dense lift P (x) I_4
         schedule = pdd_schedule(universal_group(4), 0.25, 0.0, 1)
-        kicks = engine._timed_hamiltonian(encoded_spec(schedule.total_time), schedule, True).kicks
+        kicks = engine._timed_hamiltonian(encoded_spec(), schedule, True).kicks
         lifted = {p: np.kron(to_dense(p), np.eye(4)) for _, p in kicks}
         zero = np.zeros((64, 64))
         for pulse, dense in lifted.items():
@@ -178,9 +177,8 @@ class TestPropagate:
         monkeypatch.setattr(engine, "_magnus86_rows", no_step)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             propagate_with_stats(affine(np.eye(2), np.diag([1.0, -1.0]), sin3), total_time)
-        spec = dataclasses.replace(one_qubit_spec(), total_time=total_time)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            run_closed_adiabatic(spec)
+            run_closed_adiabatic(one_qubit_spec(), total_time)
 
     def test_non_hermitian_piece_or_q_rejected(self):
         # the generator refuses at construction, before any step is taken
@@ -373,7 +371,7 @@ class TestGroundState:
         assert np.allclose(psi, np.array([1, 1]) / math.sqrt(2), atol=1e-12)
 
     def test_eigen_residual(self):
-        spec = encoded_spec(total_time=1.0)
+        spec = encoded_spec()
         for s in (0.0, 0.3, 1.0):
             psi = instantaneous_ground_state(spec, s)
             h = spec.interpolate(s)
@@ -381,7 +379,7 @@ class TestGroundState:
             assert np.linalg.norm(h @ psi - e * psi) <= 1e-10
 
     def test_deterministic_phase(self):
-        spec = encoded_spec(total_time=1.0)
+        spec = encoded_spec()
         a = instantaneous_ground_state(spec, 0.4)
         b = instantaneous_ground_state(spec, 0.4)
         assert np.array_equal(a, b)
@@ -393,7 +391,6 @@ class TestGroundState:
             n=2,
             h0_terms=[(1.0, PauliString.from_letters("ZZ"))],
             h1_terms=[(1.0, PauliString.from_letters("ZZ"))],
-            total_time=1.0,
         )
         with pytest.raises(DegenerateGroundStateError):
             instantaneous_ground_state(spec, 0.0)
@@ -401,7 +398,7 @@ class TestGroundState:
     def test_code_restriction_lifts_full_space_degeneracy(self):
         # encoded H0 is degenerate on the full space (syndrome copies) but
         # unique inside the code space
-        spec = encoded_spec(total_time=1.0)
+        spec = encoded_spec()
         psi = instantaneous_ground_state(spec, 0.0)
         v = spec.code_basis
         assert np.linalg.norm(v @ (v.conj().T @ psi) - psi) <= 1e-12
@@ -409,13 +406,13 @@ class TestGroundState:
 
 class TestClosedAdiabatic:
     def test_long_run_tracks_ground_state(self):
-        run = run_closed_adiabatic(one_qubit_spec(total_time=60.0))
+        run = run_closed_adiabatic(one_qubit_spec(), 60.0)
         assert run.delta_ad < 1e-3
 
     def test_dilation_improves(self):
-        spec = one_qubit_spec(total_time=6.0)
-        slow = run_closed_adiabatic(dataclasses.replace(spec, total_time=2.0 * 6.0))
-        fast = run_closed_adiabatic(spec)
+        spec = one_qubit_spec()
+        slow = run_closed_adiabatic(spec, 2.0 * 6.0)
+        fast = run_closed_adiabatic(spec, 6.0)
         assert slow.delta_ad < fast.delta_ad
 
     def test_constant_hamiltonian_stays_put(self):
@@ -423,29 +420,27 @@ class TestClosedAdiabatic:
             n=1,
             h0_terms=[(-1.0, PauliString.from_letters("X"))],
             h1_terms=[(-1.0, PauliString.from_letters("X"))],
-            total_time=3.0,
         )
-        run = run_closed_adiabatic(spec)
+        run = run_closed_adiabatic(spec, 3.0)
         assert run.delta_ad <= 1e-9
 
 
-def transverse_field_spec(total_time):
+def transverse_field_spec():
     """Unencoded 4-qubit model: its terms do not commute with the pulses."""
     h0 = [(-1.0, PauliString.single(4, i, "X")) for i in range(4)]
     h1 = [(-(0.8 + 0.1 * i), PauliString.single(4, i, "Z")) for i in range(4)]
     h1 += [(-0.5, PauliString.single(4, i, "Z") * PauliString.single(4, i + 1, "Z"))
            for i in range(3)]
-    return AdiabaticSpec(n=4, h0_terms=h0, h1_terms=h1, total_time=total_time)
+    return AdiabaticSpec(n=4, h0_terms=h0, h1_terms=h1)
 
 
 def quick_protected(j=0.1, total_time=2.0, tau=0.25, w=0.0, tol=1e-9, group=None,
                     penalty=None, penalty_during_pulse=True, seed=11, n_b=1,
                     spec_fn=encoded_spec):
-    spec = spec_fn(total_time)
     grp = group or universal_group(4)
     cycles = max(1, round(total_time / (grp.order * (tau + w))))
     schedule = pdd_schedule(grp, tau, w, cycles)
-    spec = dataclasses.replace(spec, total_time=schedule.total_time, penalty=penalty,
+    spec = dataclasses.replace(spec_fn(), penalty=penalty,
                                penalty_during_pulse=penalty_during_pulse)
     bath = linear_decoherence(4, n_b, j, seed=seed)
     coupled, uncoupled = run_protected(spec, bath, schedule, cfg=IntegratorConfig(tol=tol))
@@ -521,9 +516,8 @@ class TestRunProtected:
         def no_propagation(*args, **kwargs):
             raise AssertionError("a propagation was started")
 
-        spec = encoded_spec(2.0)
+        spec = encoded_spec()
         schedule = pdd_schedule(universal_group(4), 0.25, 0.0, 1)
-        spec = dataclasses.replace(spec, total_time=schedule.total_time)
         bath = linear_decoherence(4, 1, 0.1, seed=7, beta_b=0.0)
         monkeypatch.setattr(engine, "propagate_with_stats", no_propagation)
         with pytest.raises(DegenerateGroundStateError, match="ground level degenerate of the bath"):
@@ -641,8 +635,8 @@ class TestRunProtected:
             assert op_norm(art.u_total.conj().T @ art.u_total - np.eye(d)) <= 1e-9
 
     def test_uncoupled_reduced_state_matches_closed_run(self):
-        spec, _, _, _, uncoupled = quick_protected(j=0.0, tol=1e-11)
-        closed = run_closed_adiabatic(spec, cfg=IntegratorConfig(tol=1e-11))
+        spec, _, schedule, _, uncoupled = quick_protected(j=0.0, tol=1e-11)
+        closed = run_closed_adiabatic(spec, schedule.total_time, cfg=IntegratorConfig(tol=1e-11))
         rho_closed = np.outer(closed.psi_final, closed.psi_final.conj())
         assert trace_distance(uncoupled.rho_s_final, rho_closed) <= 1e-9
 
@@ -679,23 +673,16 @@ class TestRunProtected:
         assert uncoupled.phi <= 1e-8
 
     def test_dimension_mismatch_rejected(self):
-        spec = encoded_spec(2.0)
+        spec = encoded_spec()
         schedule = pdd_schedule(universal_group(2), 0.25, 0.0, 2)
         bath = linear_decoherence(4, 1, 0.1, seed=0)
         with pytest.raises(ValueError, match="qubits"):
             run_protected(spec, bath, schedule)
 
-    def test_timing_mismatch_rejected(self):
-        spec = encoded_spec(3.0)
-        schedule = pdd_schedule(universal_group(4), 0.25, 0.0, 2)  # T = 2
-        bath = linear_decoherence(4, 1, 0.1, seed=0)
-        with pytest.raises(ValueError, match="total time"):
-            run_protected(spec, bath, schedule)
-
 
 class TestInteractionFrame:
     def test_identity_without_coupling_or_control(self):
-        spec = one_qubit_spec(total_time=2.0)
+        spec = one_qubit_spec()
         schedule = pdd_schedule(trivial_group(1), 0.5, 0.0, 4)
         bath = linear_decoherence(1, 1, 0.0, seed=2)
         h = protected_hamiltonian(spec, bath, schedule)
@@ -708,8 +695,7 @@ class TestInteractionFrame:
         # the residual is exactly the first pulse (lifted over the bath)
         group = global_x_group(1)
         schedule = pdd_schedule(group, 0.4, 0.1, 1)
-        spec = AdiabaticSpec(n=1, h0_terms=[], h1_terms=[],
-                             total_time=schedule.total_time)
+        spec = AdiabaticSpec(n=1, h0_terms=[], h1_terms=[])
         bath = linear_decoherence(1, 1, 0.0, seed=4)
         t_slot = schedule.slot_time
         h = protected_hamiltonian(spec, bath, schedule)

@@ -15,7 +15,7 @@ from aqc_shield.metrics import (
     phi_budget,
     trace_distance,
 )
-from aqc_shield.codes import global_x_group
+from aqc_shield.codes import global_x_group, universal_group
 from aqc_shield.protocols import ScalingRule, pdd_schedule
 
 # Frozen by direct evaluation of the third budget term at
@@ -56,8 +56,8 @@ class TestTraceDistance:
 
 class TestPhiBudget:
     def test_frozen_example(self):
-        b = phi_budget(j_coupling=0.1, total_time=10.0, w=0.0, tau=0.01,
-                       k_pulses=4, l_pulses=400, beta=1.0)
+        # J T = 0.25 * 400 * 0.01 = 1, L/K = 100 and 2 beta T_c = 0.08
+        b = phi_budget(pdd_schedule(universal_group(4), 0.01, 0.0, 100), 0.25, beta=1.0)
         assert b.term1 == pytest.approx(0.01, abs=1e-12)
         assert b.term2 == 0.0
         assert b.term3 == pytest.approx(BUDGET_TERM3, abs=1e-12)
@@ -65,21 +65,24 @@ class TestPhiBudget:
         assert b.third_term_ok and b.magnus_convergent
 
     def test_zero_width_kills_second_term(self):
-        b = phi_budget(0.2, 5.0, 0.0, 0.05, 4, 100, beta=2.0)
+        b = phi_budget(pdd_schedule(universal_group(4), 0.05, 0.0, 25), 0.2, beta=2.0)
         assert b.term2 == 0.0
 
     def test_finite_width_second_term(self):
-        b = phi_budget(0.2, 5.0, 0.01, 0.04, 4, 100, beta=2.0)
+        # T = 100 (0.04 + 0.01) = 5
+        b = phi_budget(pdd_schedule(universal_group(4), 0.04, 0.01, 25), 0.2, beta=2.0)
         assert b.term2 == pytest.approx(0.2 * 5.0 * 0.01 / 0.05, rel=1e-12)
 
     def test_term1_halves_when_l_doubles(self):
-        b1 = phi_budget(0.1, 10.0, 0.0, 0.01, 4, 400, beta=1.0)
-        b2 = phi_budget(0.1, 10.0, 0.0, 0.005, 4, 800, beta=1.0)
+        # the same T = 4 and J T = 1 over 100 and 200 cycles
+        b1 = phi_budget(pdd_schedule(universal_group(4), 0.01, 0.0, 100), 0.25, beta=1.0)
+        b2 = phi_budget(pdd_schedule(universal_group(4), 0.005, 0.0, 200), 0.25, beta=1.0)
         assert b2.term1 == pytest.approx(b1.term1 / 2, rel=1e-12)
 
     def test_validity_flags(self):
-        # large beta*Tc makes the third term exceed JT and breaks convergence
-        b = phi_budget(2.0, 10.0, 0.0, 0.5, 4, 80, beta=5.0)
+        # large beta*Tc makes the third term exceed JT and breaks convergence:
+        # T_c = 2, beta T_c = 10 and J T_c = 4 > pi
+        b = phi_budget(pdd_schedule(universal_group(4), 0.5, 0.0, 5), 2.0, beta=5.0)
         assert not b.third_term_ok
         assert not b.magnus_convergent
 

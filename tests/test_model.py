@@ -26,7 +26,6 @@ def two_level_spec(kind="linear"):
         h0_terms=[(1.0, PauliString.from_letters("X"))],
         h1_terms=[(1.0, PauliString.from_letters("Z"))],
         schedule=Schedule(kind),
-        total_time=1.0,
     )
 
 
@@ -105,7 +104,6 @@ def encoded_preset_spec(n=6):
         h0_terms=encode_hamiltonian(universal_aqc_terms(h0f, h0p, n - 2), n),
         h1_terms=encode_hamiltonian(universal_aqc_terms(h1f, h1p, n - 2), n),
         schedule=Schedule("smooth-endpoint"),
-        total_time=1.0,
         code_basis=code.basis_matrix(),
     )
 
@@ -348,7 +346,6 @@ class TestMinGap:
             n=1,
             h0_terms=[(1.0, PauliString.from_letters("Z"))],
             h1_terms=[(1.0, PauliString.from_letters("Z"))],
-            total_time=1.0,
         )
         report = min_gap(spec, grid_points=11)
         assert report.gap == pytest.approx(2.0, abs=1e-10)
@@ -394,7 +391,6 @@ class TestMinGap:
             n=2,
             h0_terms=[(1.0, PauliString.from_letters("ZZ"))],
             h1_terms=[(1.0, PauliString.from_letters("ZZ"))],
-            total_time=1.0,
         )
         report = min_gap(spec, grid_points=11)
         assert report.degenerate
@@ -411,7 +407,7 @@ class TestMinGap:
         h1 = [(0.7, PauliString.from_letters("YZI")), (-0.5, PauliString.from_letters("ZZI")),
               (0.4, PauliString.from_letters("IYX")), (-0.9, PauliString.from_letters("IIZ")),
               (-0.6, PauliString.from_letters("ZII")), (-0.8, PauliString.from_letters("IZI"))]
-        spec = AdiabaticSpec(n=3, h0_terms=h0, h1_terms=h1, total_time=1.0)
+        spec = AdiabaticSpec(n=3, h0_terms=h0, h1_terms=h1)
         assert spec.H1.dtype == np.complex128
         dense0, dense1 = (sum(c * to_dense(p) for c, p in terms) for terms in (h0, h1))
 

@@ -23,7 +23,6 @@ def control_generator(schedule):
         n=2,
         h0_terms=[(-1.0, PauliString.from_letters("XI")), (-1.0, PauliString.from_letters("IX"))],
         h1_terms=[(-0.5, PauliString.from_letters("ZZ"))],
-        total_time=schedule.total_time,
     )
     bath = linear_decoherence(2, 1, 0.1, seed=5)
     return protected_hamiltonian(spec, bath, schedule, include_coupling=False)

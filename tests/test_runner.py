@@ -97,6 +97,30 @@ class TestExecute:
         dilated = runner.build_model(dilated_cfg)
         assert dilated.schedule.cycles == 2 * base.schedule.cycles
 
+    def test_dilated_schedule_times_closed_run_and_budget(self, tmp_path):
+        base = runner.build_model(quick_cfg(tmp_path))
+        cfg = quick_cfg(tmp_path, run__r=2)
+        result = runner.execute_experiment(cfg)
+        built, report = result.built, result.report
+        total = report.csv_values()[metrics.CSV_COLUMNS.index("T")]
+        assert total == 2 * base.schedule.total_time
+        closed = engine.run_closed_adiabatic(
+            built.spec, 2 * base.schedule.total_time,
+            cfg=engine.IntegratorConfig(tol=cfg.run.tolerance))
+        assert report.delta_ad == closed.delta_ad
+        m = cfg.model
+        bath = model.linear_decoherence(m.n, m.n_b, m.j, m.seed, beta_b=m.beta_b)
+        beta = model.beta_system_bath(built.spec, bath.h_b)
+        assert report.budget6 == metrics.phi_budget(built.schedule, m.j, beta)
+
+    @pytest.mark.parametrize("group", ["none", "global-x"])
+    def test_penalty_is_the_codes_whatever_the_group(self, tmp_path, group):
+        # the penalty sums the code's stabilizers; the pulses' group is not the code
+        built = runner.build_model(quick_cfg(tmp_path, model__e_p=1.0, protocol__group=group))
+        expected = codes.penalty_hamiltonian(codes.universal_group(4), 1.0)
+        assert built.schedule.group.order < 4
+        assert np.array_equal(built.spec.penalty, expected)
+
     def test_encoded_build_validates_code_once(self, tmp_path, monkeypatch):
         calls = []
         original = codes._validate_code
@@ -365,7 +389,8 @@ class TestCli:
         ("model.beta_b", 1.0, -1.0, "model.beta_b must be nonnegative"),
         ("protocol.tau", 0.25, 0.0, "protocol.tau must be positive"),
         ("protocol.w", 0.0, 0.25, "pulse width w=0.25 >= interval tau=0.25"),
-    ], ids=["run.alpha", "model.beta_b", "protocol.tau", "protocol.w"])
+        ("model.seed", 7, -3, "model.seed must be nonnegative"),
+    ], ids=["run.alpha", "model.beta_b", "protocol.tau", "protocol.w", "model.seed"])
     def test_sweep_refuses_invalid_point_before_any_runs(self, tmp_path, capsys, monkeypatch,
                                                          axis, good, bad, message):
         def no_run(cfg):

@@ -4,23 +4,26 @@ Usage, from the repository root:
 
     python tools/output_digest.py > digests.txt
 
-Each ``perfbench/workloads/*.ini`` runs at bath seeds 1234, 1241 and 1248 in
-a temporary directory, through the CLI: ``simulate`` for the ``simulate_*``
-files (report CSV and JSON), ``sweep`` for ``sweep_nb1`` (sweep CSV) and
-``gap`` for ``gap_n8`` (gap CSV).  Each simulate configuration is also run
-through ``runner.execute_experiment``, and its coupled and twin ``u_total``
-and its closed final state are saved as ``.npy`` files, with the bath
-Hamiltonian ``h_b`` and the coupling ``h_sb`` that ``model.linear_decoherence``
-builds from the configuration.  After the digests, each ``gap`` run's summary
-line (``minimal gap ... at s*=...``), which goes to standard error and into no
-file, is printed as it stands, and then the margin of every check in
-``verify.ALL_CHECKS`` with ``repr``, one line per check (the runtime budget,
-which is no margin, is left out), and last each simulate run's
-``report.budget6`` (the three Phi-budget terms, their total and both flags)
-and ``report.pred8``, with ``repr``; these reach no file.  A refactor that
-claims byte-identical outputs is checked by one ``diff`` of the listings of
-the two commits.  Logs go to standard error; nothing under ``perfbench/`` is
-written.
+Each ``perfbench/workloads/*.ini``, and ``SCALING_RULE`` below as
+``simulate_scaling_rule``, runs at bath seeds 1234, 1241 and 1248 in a
+temporary directory, through the CLI: ``simulate`` for the ``simulate_*``
+configurations (report CSV and JSON), ``sweep`` for ``sweep_nb1`` (sweep
+CSV) and ``gap`` for ``gap_n8`` (gap CSV).  No workload sets a scaling rule,
+so ``SCALING_RULE`` is the one run whose ``pred8`` is not ``None``; its
+finite pulse width also makes the budget's ``term2`` nonzero.  Each simulate
+configuration is also run through ``runner.execute_experiment``, and its
+coupled and twin ``u_total`` and its closed final state are saved as ``.npy``
+files, with the bath Hamiltonian ``h_b`` and the coupling ``h_sb`` that
+``model.linear_decoherence`` builds from the configuration.  After the
+digests, each ``gap`` run's summary line (``minimal gap ... at s*=...``),
+which goes to standard error and into no file, is printed as it stands, and
+then the margin of every check in ``verify.ALL_CHECKS`` with ``repr``, one
+line per check (the runtime budget, which is no margin, is left out), and
+last each simulate run's ``report.budget6`` (the three Phi-budget terms,
+their total and both flags) and ``report.pred8``, with ``repr``; these reach
+no file.  A refactor that claims byte-identical outputs is checked by one
+``diff`` of the listings of the two commits.  Logs go to standard error;
+nothing under ``perfbench/`` is written.
 """
 
 from __future__ import annotations
@@ -42,6 +45,25 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from aqc_shield import cli, config, model, runner, verify  # noqa: E402
 
 BATH_SEEDS = (1234, 1241, 1248)
+
+# tau = 1/32, w = 1/256 and L = 116 at n = 4, so T = 4.078125
+SCALING_RULE = """\
+[model]
+n = 4
+n_b = 1
+j = 1
+
+[protocol]
+zeta = 1
+epsilon1 = 1.5
+epsilon2 = 0.5
+
+[run]
+tolerance = 1e-8
+
+[output]
+prefix = simulate_scaling_rule
+"""
 
 
 def _command(name: str) -> str:
@@ -94,7 +116,11 @@ def _margins() -> list[str]:
 def main() -> int:
     summaries, budgets = [], []
     with tempfile.TemporaryDirectory() as tmp:
-        for source in sorted(glob.glob(os.path.join(ROOT, "perfbench", "workloads", "*.ini"))):
+        scaling = os.path.join(tmp, "simulate_scaling_rule.ini")
+        with open(scaling, "w", encoding="utf-8") as fh:
+            fh.write(SCALING_RULE)
+        workloads = sorted(glob.glob(os.path.join(ROOT, "perfbench", "workloads", "*.ini")))
+        for source in workloads + [scaling]:
             name = os.path.splitext(os.path.basename(source))[0]
             command = _command(name)
             for seed in BATH_SEEDS:
