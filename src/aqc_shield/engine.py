@@ -50,7 +50,6 @@ from .linalg import (
     expm_hermitian,
     logm_unitary,
     op_norm,
-    partial_trace,
     require_hermitian,
 )
 # ``dense_terms`` stays bound here for callers that wrap it at this module
@@ -184,18 +183,18 @@ def piece_index(h_of_t: AffineGenerator, t: float) -> int:
 
 @dataclass
 class RunArtifacts:
-    """Outputs of one propagated run.
+    """One propagated run: its joint propagator, final state and error phase
+    (:func:`metrics.error_report` takes the marginals).
 
     ``diagnostics`` holds the statistics of :func:`propagate_with_stats`
     (``steps``, ``rejected``, ``segments``, ``floored``, ``error_estimate``)
-    plus ``total_time`` and ``coupled``; the report files do not read it.
+    plus ``total_time``; the report files do not read it.
     ``error_estimate`` is the summed estimate of the sixth-order steps'
     local errors in the operator norm, an estimate of ||U - U_exact||.
     """
 
     u_total: np.ndarray
     rho_final: np.ndarray
-    rho_s_final: np.ndarray
     phi: float
     diagnostics: dict = field(default_factory=dict)
 
@@ -693,23 +692,21 @@ def run_protected(
 
     u_frame = frame_unitary(spec, bath, schedule, cfg)
 
-    def artifacts(u_total: np.ndarray, stats: dict, coupled: bool) -> RunArtifacts:
+    def artifacts(u_total: np.ndarray, stats: dict) -> RunArtifacts:
         rho_final = u_total @ rho0 @ u_total.conj().T
-        rho_s = partial_trace(rho_final, (1 << n, bath.bath_dim), (0,))
-        u_tilde = dagger(u_frame) @ u_total
-        _, phi = effective_hamiltonian(u_tilde, total)
-        stats.update(total_time=total, coupled=coupled)
-        return RunArtifacts(u_total, rho_final, rho_s, phi, diagnostics=stats)
+        _, phi = effective_hamiltonian(dagger(u_frame) @ u_total, total)
+        stats["total_time"] = total
+        return RunArtifacts(u_total, rho_final, phi, diagnostics=stats)
 
     # The twin's generator is H_sys(t) (x) I + I (x) H_B with commuting
     # parts, so its propagator is U_sys (x) exp(-i H_B T): propagate at 2^n.
     h_sys = protected_hamiltonian(spec, bath, schedule, include_coupling=False)
     u_sys, stats = propagate_with_stats(h_sys, total, cfg)
-    twin = artifacts(np.kron(u_sys, expm_hermitian(bath.h_b, total)), stats, coupled=False)
+    twin = artifacts(np.kron(u_sys, expm_hermitian(bath.h_b, total)), stats)
     if not np.any(bath.h_sb):
         # Zero coupling: the coupled run is the twin; it propagated nothing.
-        coupled_stats = dict(stats, steps=0, rejected=0, segments=0, floored=0, coupled=True)
+        coupled_stats = dict(stats, steps=0, rejected=0, segments=0, floored=0)
         return replace(twin, diagnostics=coupled_stats), twin
     h = protected_hamiltonian(spec, bath, schedule, include_coupling=True)
     u_total, stats = propagate_with_stats(h, total, cfg)
-    return artifacts(u_total, stats, coupled=True), twin
+    return artifacts(u_total, stats), twin

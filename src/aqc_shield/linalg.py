@@ -152,28 +152,17 @@ def logm_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    """Trace out all tensor factors not listed in ``keep``.
+    """The marginal of a two-factor operator on the factor ``keep`` names.
 
     Args:
-        rho: density matrix (or any operator) on the full product space.
-        dims: dimension of each tensor factor, in kron order.
-        keep: indices (into ``dims``) of the factors to retain.
-
-    Returns:
-        The reduced operator on the kept factors, in their original order.
+        rho: density matrix (or any operator) on the product space.
+        dims: (d_a, d_b), the two factors' dimensions in kron order.
+        keep: (0,) for the first factor's marginal, (1,) for the second's.
     """
-    dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
-    if rho.shape != (total, total):
+    if len(dims) != 2 or tuple(keep) not in ((0,), (1,)):
+        raise ValueError(f"need two factors and keep (0,) or (1,), got dims {dims}, keep {keep}")
+    d_a, d_b = (int(d) for d in dims)
+    if rho.shape != (d_a * d_b, d_a * d_b):
         raise ValueError(f"operator shape {rho.shape} does not match dims {dims}")
-    keep = tuple(sorted(set(int(i) for i in keep)))
-    if any(i < 0 or i >= len(dims) for i in keep):
-        raise ValueError(f"keep indices {keep} out of range for {len(dims)} factors")
-    m = len(dims)
-    resh = rho.reshape(dims + dims)
-    row_sub = list(range(m))
-    col_sub = [i + m if i in keep else i for i in range(m)]
-    out_sub = [i for i in keep] + [i + m for i in keep]
-    reduced = np.einsum(resh, row_sub + col_sub, out_sub)
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return reduced.reshape(d_keep, d_keep)
+    traced = 1 - keep[0]
+    return np.trace(rho.reshape(d_a, d_b, d_a, d_b), axis1=traced, axis2=traced + 2)

@@ -8,8 +8,10 @@ run-level distances are:
 * delta_ad -- closed-run final state vs instantaneous target,
 * d_tot    -- coupled joint state vs the ideal adiabatic joint state.
 
-The ideal adiabatic system state is the closed run's target, the state
-delta_ad is measured against; run identifiers come from the pulse schedule.
+The report takes every marginal it compares (the coupled run's system
+marginal, the twin's bath marginal) and the error phase Phi from the
+engine.  The ideal adiabatic system state is the closed run's target, the
+state delta_ad is measured against; run identifiers come from the schedule.
 
 Bound verdicts carry signed slack (bound minus measured value, plus the
 numerical allowance); nonnegative slack means the bound held.
@@ -188,18 +190,16 @@ def error_report(
     if t_c is not None and t_u is not None and abs(t_c - t_u) > 1e-12 * max(1.0, abs(t_c)):
         raise ValueError(f"run timing mismatch: {t_c} vs {t_u}")
     ideal_system = np.outer(closed.target, closed.target.conj())
-    dim_joint = coupled.rho_final.shape[0]
     dim_s = ideal_system.shape[0]
-    if dim_joint % dim_s != 0:
-        raise ValueError("ideal system dimension does not divide the joint dimension")
-    dim_b = dim_joint // dim_s
+    # a remainder fails the partial traces' shape check
+    dims = (dim_s, coupled.rho_final.shape[0] // dim_s)
+    rho_s_final = partial_trace(coupled.rho_final, dims, (0,))
+    rho_b_final = partial_trace(uncoupled.rho_final, dims, (1,))
 
-    delta_s = trace_distance(coupled.rho_s_final, ideal_system)
+    delta_s = trace_distance(rho_s_final, ideal_system)
     d_d = trace_distance(coupled.rho_final, uncoupled.rho_final)
     delta_ad = closed.delta_ad
-    rho_b_final = partial_trace(uncoupled.rho_final, (dim_s, dim_b), (1,))
-    rho_ad_joint = np.kron(ideal_system, rho_b_final)
-    d_tot = trace_distance(coupled.rho_final, rho_ad_joint)
+    d_tot = trace_distance(coupled.rho_final, np.kron(ideal_system, rho_b_final))
     phi = coupled.phi
 
     eq5_bound = min(1.0, math.expm1(phi) / 2)

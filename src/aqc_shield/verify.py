@@ -387,8 +387,9 @@ def check_uncoupled_matches_closed() -> float:
     cfg = _quick_config(j=0.0)
     cfg.run.tolerance = 1e-11
     result = runner.execute_experiment(cfg)
-    rho_s = result.uncoupled.rho_s_final
+    rho = result.uncoupled.rho_final
     psi = result.closed.psi_final
+    rho_s = linalg.partial_trace(rho, (psi.size, rho.shape[0] // psi.size), (0,))
     dist = metrics.trace_distance(rho_s, np.outer(psi, psi.conj()))
     return 1e-9 - dist
 
@@ -517,6 +518,11 @@ ALL_CHECKS = [
 ]
 
 
+def run_check(check, reports: dict) -> float:
+    """``check``'s margin; a check in :data:`SHARES_REPORTS` shares ``reports``."""
+    return float(check(reports) if check in SHARES_REPORTS else check())
+
+
 def verify(print_fn=print) -> int:
     """Run every named check; print pass/fail with margins; return failure count."""
     start = time.monotonic()
@@ -524,7 +530,7 @@ def verify(print_fn=print) -> int:
     reports: dict = {}  # per call, so a fault injected between calls reaches both
     for name, check in ALL_CHECKS:
         try:
-            margin = float(check(reports) if check in SHARES_REPORTS else check())
+            margin = run_check(check, reports)
             result = CheckResult(name, margin >= 0.0, margin)
         except Exception as exc:
             result = CheckResult(name, False, float("-inf"), f"{type(exc).__name__}: {exc}")

@@ -9,10 +9,30 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
+from aqc_shield import verify
+
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def registry_margin():
+    """The margin of a ``verify.ALL_CHECKS`` check by name, run once per session.
+
+    The checks share one reports dict, as in one ``verify.verify`` call.
+    """
+    checks = dict(verify.ALL_CHECKS)
+    reports: dict = {}
+    margins: dict[str, float] = {}
+
+    def margin(name: str) -> float:
+        if name not in margins:
+            margins[name] = verify.run_check(checks[name], reports)
+        return margins[name]
+
+    return margin
 
 
 def random_hermitian(rng, dim):

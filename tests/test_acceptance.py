@@ -2,10 +2,12 @@
 
 Each test prints a PASS/FAIL line (visible with ``pytest -s``) and asserts
 its criterion at the stated tolerance.  Criteria 1, 2, 3, 8 and 9 assert
-through the checks registered in ``aqc_shield.verify.ALL_CHECKS``.  The sweep criteria share one
-module-scoped batch of paired runs: n = 4 encoded, one or two bath qubits,
-coupling strengths {0.05, 0.1, 0.2}, and a pulse-interval halving ladder
-at fixed total time.
+the margins of checks registered in ``aqc_shield.verify.ALL_CHECKS``, read
+from the session memo ``registry_margin`` (tests/conftest.py), so no check
+runs twice in one session.  The sweep criteria share one module-scoped
+batch of paired runs: n = 4 encoded, one or two bath qubits, coupling
+strengths {0.05, 0.1, 0.2}, and a pulse-interval halving ladder at fixed
+total time.
 
 Criterion 5 asserts the sharp phi-distance bound
 d_D <= sin(Phi_c) + sin(Phi_u) (each phase capped at pi/2, the sum at 1)
@@ -25,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from aqc_shield import cli, runner, verify
+from aqc_shield import cli, runner
 from aqc_shield.codes import erred_state_energy, universal_group
 from aqc_shield.config import ExperimentConfig
 from aqc_shield.engine import run_closed_adiabatic
@@ -80,7 +82,7 @@ def report_line(ok, text):
     return ok
 
 
-def test_criterion_1_codeword_golden(capsys):
+def test_criterion_1_codeword_golden(registry_margin, capsys):
     expected = {
         "00": ("0000", "1111"),
         "10": ("0011", "1100"),
@@ -88,7 +90,7 @@ def test_criterion_1_codeword_golden(capsys):
         "11": ("1001", "0110"),
     }
     # the fidelities to this table are asserted by verify.check_codeword_golden
-    margin = verify.check_codeword_golden()
+    margin = registry_margin("codes.codeword_golden_n4")
     assert cli.main(["code", "--n", "4"]) == 0
     out = capsys.readouterr().out
     for label, (a, b) in expected.items():
@@ -99,18 +101,18 @@ def test_criterion_1_codeword_golden(capsys):
                                         f"(worst fidelity defect {1e-12 - margin:.2e})")
 
 
-def test_criterion_2_decoupling_annihilation(capsys):
+def test_criterion_2_decoupling_annihilation(registry_margin, capsys):
     # verify.check_universal_annihilation: n = 2, 4 and bath seeds 0-9
-    margin = verify.check_universal_annihilation()
+    margin = registry_margin("codes.universal_annihilation")
     with capsys.disabled():
         assert report_line(margin >= 0,
                            f"criterion 2: group average annihilates the linear coupling "
                            f"(worst norm {1e-12 - margin:.2e})")
 
 
-def test_criterion_3_non_interference(capsys):
+def test_criterion_3_non_interference(registry_margin, capsys):
     # verify.check_noninterference: 20 sampled s on the encoded preset
-    margin = verify.check_noninterference()
+    margin = registry_margin("codes.noninterference_encoded")
     with capsys.disabled():
         assert report_line(margin >= 0,
                            f"criterion 3: encoded Hamiltonian commutes with every pulse "
@@ -214,9 +216,9 @@ def test_criterion_7_adiabatic_scaling(capsys):
                            f"delta_ad < r^-2 at every dilation")
 
 
-def test_criterion_8_penalty_spectrum(capsys):
+def test_criterion_8_penalty_spectrum(registry_margin, capsys):
     # verify.check_penalty_spectrum: H_P on the codeword and 12 erred states
-    margin = verify.check_penalty_spectrum()
+    margin = registry_margin("codes.penalty_spectrum_oracle")
     ep = 0.7
     group = universal_group(4)
     k = group.order
@@ -238,9 +240,10 @@ def test_criterion_8_penalty_spectrum(capsys):
         assert ok
 
 
-def test_criterion_9_budget_evaluators_and_alpha(sweep_results, capsys):
+def test_criterion_9_budget_evaluators_and_alpha(sweep_results, registry_margin, capsys):
     # frozen examples of phi_budget and dd_error_prediction
-    eval_ok = verify.check_budget_values() >= 0 and verify.check_prediction_values() >= 0
+    eval_ok = (registry_margin("metrics.budget_values") >= 0
+               and registry_margin("metrics.prediction_values") >= 0)
 
     # alpha calibration: smallest constant making the first budget term
     # cover the measured phase left over after the other two terms

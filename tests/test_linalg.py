@@ -146,6 +146,20 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="dims"):
             partial_trace(np.eye(6, dtype=complex), (2, 4), (0,))
 
+    def test_marginals_are_sums_over_the_traced_index(self, rng):
+        rho = random_density(rng, 12)
+        # rho[i * 4 + a, j * 4 + b] for factors (3, 4)
+        first = sum(rho[a::4, a::4] for a in range(4))
+        second = sum(rho[4 * i:4 * i + 4, 4 * i:4 * i + 4] for i in range(3))
+        assert np.allclose(partial_trace(rho, (3, 4), (0,)), first, rtol=0, atol=1e-15)
+        assert np.allclose(partial_trace(rho, (3, 4), (1,)), second, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("dims, keep", [((2, 2, 2), (0,)), ((2, 4), (0, 1))],
+                             ids=["three-factors", "keep-both"])
+    def test_only_one_of_two_factors_kept(self, dims, keep):
+        with pytest.raises(ValueError, match="two factors"):
+            partial_trace(np.eye(8, dtype=complex) / 8, dims, keep)
+
 
 def test_import_loads_no_scipy():
     # SciPy's import alone costs more than half of ``import aqc_shield``

@@ -130,9 +130,7 @@ class TestSerialization:
 
         rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
         art = RunArtifacts(
-            u_total=np.eye(4, dtype=complex), rho_final=rho,
-            rho_s_final=partial_trace(rho, (2, 2), (0,)),
-            phi=0.0,
+            u_total=np.eye(4, dtype=complex), rho_final=rho, phi=0.0,
             diagnostics={"total_time": 1.0},
         )
         closed = ClosedRun(psi_final=np.array([1.0, 0.0]), target=np.array([1.0, 0.0]),
@@ -173,9 +171,7 @@ class TestErrorReport:
         def art(total_time):
             rho = np.eye(4, dtype=complex) / 4
             return RunArtifacts(
-                u_total=np.eye(4, dtype=complex), rho_final=rho,
-                rho_s_final=np.eye(2, dtype=complex) / 2,
-                phi=0.0,
+                u_total=np.eye(4, dtype=complex), rho_final=rho, phi=0.0,
                 diagnostics={"total_time": total_time},
             )
 
@@ -184,6 +180,17 @@ class TestErrorReport:
         schedule = pdd_schedule(global_x_group(1), 0.25, 0.0, 2)
         with pytest.raises(ValueError, match="timing"):
             error_report(art(1.0), art(2.0), closed, schedule, 0.0)
+
+    def test_system_dimension_not_dividing_joint_refused(self):
+        from aqc_shield.engine import ClosedRun, RunArtifacts
+
+        art = RunArtifacts(u_total=np.eye(4, dtype=complex),
+                           rho_final=np.eye(4, dtype=complex) / 4, phi=0.0)
+        target = np.array([1.0, 0.0, 0.0])
+        closed = ClosedRun(psi_final=target, target=target, delta_ad=0.0)
+        schedule = pdd_schedule(global_x_group(1), 0.25, 0.0, 2)
+        with pytest.raises(ValueError, match="does not match dims"):
+            error_report(art, art, closed, schedule, 0.0)
 
     def test_distances_measured_against_closed_target(self):
         # system cos(t)|0> + sin(t)|1>, bath |0>: against target |0> delta_S
@@ -194,9 +201,7 @@ class TestErrorReport:
         psi = np.kron([math.cos(theta), math.sin(theta)], [1.0, 0.0]).astype(complex)
         rho = np.outer(psi, psi.conj())
         art = RunArtifacts(
-            u_total=np.eye(4, dtype=complex), rho_final=rho,
-            rho_s_final=partial_trace(rho, (2, 2), (0,)),
-            phi=0.0,
+            u_total=np.eye(4, dtype=complex), rho_final=rho, phi=0.0,
             diagnostics={"total_time": 1.0},
         )
         schedule = pdd_schedule(global_x_group(1), 0.25, 0.0, 2)

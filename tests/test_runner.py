@@ -456,18 +456,10 @@ class TestCli:
         assert a != b
 
 
-@pytest.fixture(scope="session")
-def small_reports():
-    """One reports dict per test session, as ``verify.verify`` keeps one per call."""
-    return {}
-
-
 class TestVerifySuite:
-    @pytest.mark.parametrize("name, check", verify.ALL_CHECKS,
-                             ids=[name for name, _ in verify.ALL_CHECKS])
-    def test_registered_check_passes(self, name, check, small_reports):
-        shares = check in verify.SHARES_REPORTS
-        assert (check(small_reports) if shares else check()) >= 0.0, name
+    @pytest.mark.parametrize("name", [name for name, _ in verify.ALL_CHECKS])
+    def test_registered_check_passes(self, name, registry_margin):
+        assert registry_margin(name) >= 0.0, name
 
     def test_small_experiments_run_once_per_call(self, monkeypatch):
         # the two runner checks share one run of each experiment per call,

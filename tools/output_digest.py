@@ -108,8 +108,7 @@ def _margins() -> list[str]:
     """``name: repr(margin)`` for every check of ``verify.ALL_CHECKS``, run as
     ``verify.verify`` runs them."""
     reports: dict = {}
-    return [f"margin {name}: "
-            f"{float(check(reports) if check in verify.SHARES_REPORTS else check())!r}"
+    return [f"margin {name}: {verify.run_check(check, reports)!r}"
             for name, check in verify.ALL_CHECKS]
 
 
