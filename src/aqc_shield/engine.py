@@ -50,6 +50,7 @@ from .linalg import (
     expm_hermitian,
     logm_unitary,
     op_norm,
+    real_combination,
     require_hermitian,
 )
 # ``dense_terms`` stays bound here for callers that wrap it at this module
@@ -202,11 +203,13 @@ class RunArtifacts:
 @dataclass
 class ClosedRun:
     """Closed-system adiabatic run: final state, its ``target`` (the s = 1
-    ground state, the error report's one reference state) and their distance."""
+    ground state, the error report's one reference state), their distance
+    and the run's :func:`propagate_with_stats` statistics (no report reads them)."""
 
     psi_final: np.ndarray
     target: np.ndarray
     delta_ad: float
+    diagnostics: dict = field(default_factory=dict)
 
 
 def propagate_with_stats(
@@ -240,15 +243,15 @@ def propagate_with_stats(
     (Blanes, Casas & Ros, BIT 40, 434 (2000)).  With H(t) = P + f(t) Q both
     are real combinations (:func:`_magnus86_rows`) of 23 commutators of
     X = -iP and Y = -iQ, formed once per piece (:func:`_commutator_stack`),
-    so a trial costs one linear combination (:func:`_combine`) and one
-    product.  Omega6 is propagated; err >=
-    ||Omega8 - Omega6||_2, of order dt^7, estimates its local error in the
-    operator norm, since ||e^A - e^B|| <= ||A - B|| for anti-Hermitian A and
-    B and Omega8 is two orders closer to the exact exponent.  A trial of
-    length dt is accepted when err is within tol * dt / T (at least 64 eps)
-    and then costs one exponential; the next step size follows err ~ dt^7
-    against that share ~ dt, the exponent 1/6.  The step size is carried
-    across segments and clipped to each edge.
+    so a trial costs one linear combination
+    (:func:`~.linalg.real_combination`) and one product.  Omega6 is
+    propagated; err >= ||Omega8 - Omega6||_2, of order dt^7, estimates its
+    local error in the operator norm, since ||e^A - e^B|| <= ||A - B|| for
+    anti-Hermitian A and B and Omega8 is two orders closer to the exact
+    exponent.  A trial of length dt is accepted when err is within
+    tol * dt / T (at least 64 eps) and then costs one exponential; the next
+    step size follows err ~ dt^7 against that share ~ dt, the exponent 1/6.
+    The step size is carried across segments and clipped to each edge.
 
     A step that a kick clips short of the current step size is first tried
     on an a-priori certificate that costs no d-sized product: the last
@@ -328,9 +331,9 @@ def propagate_with_stats(
             err = math.inf if anchor is None else _anchored_certificate(r, *grams[piece], *anchor)
             certified = err <= allowed
             if certified:
-                omega6 = _combine(rows[0, :8], stack[:8])
+                omega6 = real_combination(rows[0, :8], stack[:8])
             else:
-                omega6, tail = _combine(rows, stack)
+                omega6, tail = real_combination(rows, stack)
                 err = _hermitian_norm_bound(tail)
                 if b in at_edges:
                     if piece not in grams:
@@ -424,16 +427,6 @@ def _magnus86_rows(f, t0, dt) -> np.ndarray:
     )
     rows *= dt ** _WORD_LENGTHS
     return rows
-
-
-def _combine(weights: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """The real combination(s) ``weights @ entries`` of (k, d, d) complex
-    entries: one real product, since real weights act on the real and
-    imaginary parts alike.  A (k,) weight vector gives one (d, d) matrix,
-    a (r, k) array r of them."""
-    d = entries.shape[-1]
-    combined = weights @ entries.reshape(len(entries), -1).view(float)
-    return combined.view(complex).reshape(*weights.shape[:-1], d, d)
 
 
 def _tail_gram(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -542,14 +535,15 @@ def run_closed_adiabatic(spec: AdiabaticSpec, total_time: float,
     generator = AffineGenerator((h0,), h1 - h0, _schedule_fraction(spec, total_time))
     v = spec.code_basis
     psi0 = instantaneous_ground_state(spec, 0.0)
-    u, _ = propagate_with_stats(generator, total_time, cfg)
+    u, stats = propagate_with_stats(generator, total_time, cfg)
     psi = u @ psi0 if v is None else v @ (u @ (v.conj().T @ psi0))
     target = instantaneous_ground_state(spec, 1.0)
     # For unit vectors the trace distance is sqrt(1 - |<target|psi>|^2),
     # i.e. the norm of the component of psi orthogonal to the target;
     # computing that component directly avoids cancellation near zero.
     residual = psi - target * np.vdot(target, psi)
-    return ClosedRun(psi_final=psi, target=target, delta_ad=float(np.linalg.norm(residual)))
+    return ClosedRun(psi_final=psi, target=target, delta_ad=float(np.linalg.norm(residual)),
+                     diagnostics=stats)
 
 
 def protected_hamiltonian(

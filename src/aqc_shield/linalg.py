@@ -1,9 +1,9 @@
 """Dense complex-matrix kernel: norms, exponentials, logarithms, partial trace.
 
 Everything here works on plain ``numpy.ndarray`` values.  The Hermitian
-exponential is a truncated Taylor series of degree 3k evaluated with k + 1
-matrix products, its degree chosen from ||A^2||_1 so that the truncation
-error stays at unit roundoff in the operator norm.  The
+exponential is one fixed degree-8 polynomial taken in three matrix products,
+with scaling and squaring, within unit roundoff of the exponential on the
+anti-Hermitian exponent's imaginary spectrum (:func:`expm_hermitian`).  The
 unitary logarithm goes through the unitary's eigenvectors, taken from a
 Hermitian Cayley transform with NumPy's eigensolvers, rather than a series
 expansion, which is exact to roundoff and makes the principal branch
@@ -18,17 +18,20 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 
-# Taylor degrees m = 0 (mod 3) and theta_m, the largest theta with
-# sum_{j > m} theta^j / j! <= 2^-53.  The top entry is the degree that covers
-# the most norm per matrix product once scaling and squaring are counted.
-TAYLOR_THETA = (
-    (3, 2.2719587097728253e-04),
-    (6, 1.7764527083684662e-02),
-    (9, 1.1483174747739708e-01),
-    (12, 3.3521368782861477e-01),
-    (15, 6.827580747189479e-01),
+# Sastre's three-product form (Linear Algebra Appl. 539, 229 (2018)) of p:
+# p(A) = (y0 + d2 A^2 + d1 A)(y0 + e2 A^2) + e0 y0 + f2 A^2 + f1 A + f0 I
+# with y0 = A^2 (c4 A^2 + c3 A).  tools/derive_expm8.py derives the constants
+# and bounds |p(ix) - e^{ix}| <= 0.98 * 2^-53 for |x| <= EXPM8_THETA.
+EXPM8_THETA = 0.127
+EXPM8_CONSTANTS = (  # c4, c3, d2, d1, e2, e0, f2, f1, f0
+    0.0049791152340849555, 0.01991445315899858, 0.0767170224969426,
+    0.8765651650210435, 0.12257608012663052, 2.9737570137925804,
+    0.49999999999999933, 0.9999999999999934, 1.0,
 )
-_INV_FACTORIAL = tuple(1.0 / math.factorial(k) for k in range(TAYLOR_THETA[-1][0] + 1))
+_C4, _C3, _D2, _D1, _E2, _E0, _F2, _F1, _F0 = EXPM8_CONSTANTS
+# Real rows over (A, A^2) for y0's right factor, over (A, A^2, y0) for p's.
+_Y0_ROW = np.array([_C3, _C4])
+_P_ROWS = np.array([[_D1, _D2, 1.0], [0.0, _E2, 1.0], [_F1, _F2, _E0]])
 
 
 class BranchCutError(ArithmeticError):
@@ -58,6 +61,8 @@ def real_if_exact(a: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL, what: str = "operator") -> None:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{what} is not a square matrix (shape {a.shape})")
     dev = float(np.max(np.abs(a - a.conj().T)))
     if dev > tol:
         raise ValueError(f"{what} is not Hermitian within {tol:g} (deviation {dev:.3e})")
@@ -70,47 +75,48 @@ def require_unitary(u: np.ndarray, tol: float = DEFAULT_TOL, what: str = "operat
         raise ValueError(f"{what} is not unitary within {tol:g} (deviation {dev:.3e})")
 
 
+def real_combination(weights: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """The real combination(s) ``weights @ entries`` of (k, d, d) complex
+    entries: one real product, since real weights act on the real and
+    imaginary parts alike.  A (k,) weight vector gives one (d, d) matrix,
+    a (r, k) array r of them."""
+    d = entries.shape[-1]
+    combined = weights @ entries.reshape(len(entries), -1).view(float)
+    return combined.view(complex).reshape(*weights.shape[:-1], d, d)
+
+
 def expm_hermitian(h: np.ndarray, t: float = 1.0, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """exp(-i t h) for Hermitian h by a truncated Taylor series.
+    """exp(-i t h) for Hermitian h by a fixed degree-8 polynomial p.
 
     With A = -i t h, A^2 is formed first and theta = sqrt(||A^2||_1), the
     square root of its largest column sum: an upper bound on ||A||_2, since
     ||A||_2^2 = ||A^2||_2 for anti-Hermitian A, and never above ||A||_1.
-    The degree m is the first :data:`TAYLOR_THETA` entry with
-    theta <= theta_m, so the omitted tail sum_{j > m} A^j / j! is at most
-    2^-53 in the operator norm.  Above the top entry A is first scaled by
-    2^-s and the result squared s times.  The polynomial is evaluated by
-    Paterson & Stockmeyer's scheme (SIAM J. Comput. 2, 60 (1973)) in blocks
-    of three terms, Horner in A^3, with c_m A^3 folded into the top block, so
-    degree m = 3k takes k + 1 matrix products, plus s squarings.  The result
-    is unitary to roundoff.  ``h`` is replaced by its Hermitian part once it
-    passes the ``tol`` check.
+    A is normal, so ||p(A) - e^A||_2 is the largest |p(ix) - e^{ix}| at its
+    eigenvalues ix, |x| <= theta: p, the Chebyshev interpolant of e^{ix} on
+    |x| <= :data:`EXPM8_THETA`, is within 2^-53 there.  Above that A is
+    scaled by 2^-s and p squared s times.  p takes three products, its sums
+    being real row combinations of one buffer holding A, A^2 and y0.  The
+    result is unitary to roundoff.  ``h`` must be Hermitian within ``tol``
+    and is replaced by its Hermitian part.
     """
     require_hermitian(h, tol, "exponent")
+    h = 0.5 * (h + h.conj().T)
     d = h.shape[0]
-    a = (-0.5j * t) * (h + h.conj().T)
-    a2 = a @ a
-    theta = math.sqrt(float(np.abs(a2).sum(axis=0).max()))
+    powers = np.empty((3, d, d), dtype=complex)
+    np.multiply(h, -1j * t, out=powers[0])
+    np.matmul(powers[0], powers[0], out=powers[1])
+    theta = math.sqrt(float(np.abs(powers[1]).sum(axis=0).max()))
     if not math.isfinite(theta):
         raise ValueError(f"exponent has non-finite norm {theta}")
-    squarings = 0
-    for m, theta_m in TAYLOR_THETA:
-        if theta <= theta_m:
-            break
-    else:
-        squarings = math.ceil(math.log2(theta / theta_m))
-        a *= 2.0**-squarings
-        a2 *= 4.0**-squarings
-    c = _INV_FACTORIAL
-    a3 = a2 @ a
-    # p <- A^3 p + (c_k I + c_{k+1} A + c_{k+2} A^2) for k = m - 3, m - 6, ..., 0
-    p = c[m] * a3
-    for k in range(m - 3, -1, -3):
-        if k < m - 3:
-            p = a3 @ p
-        p += c[k + 1] * a
-        p += c[k + 2] * a2
-        p.flat[:: d + 1] += c[k]
+    squarings = math.ceil(math.log2(theta / EXPM8_THETA)) if theta > EXPM8_THETA else 0
+    if squarings:
+        powers[0] *= 2.0**-squarings
+        powers[1] *= 4.0**-squarings
+    np.matmul(powers[1], real_combination(_Y0_ROW, powers[:2]), out=powers[2])
+    left, right, rest = real_combination(_P_ROWS, powers)
+    p = left @ right
+    p += rest
+    p.flat[:: d + 1] += _F0
     for _ in range(squarings):
         p = p @ p
     return p

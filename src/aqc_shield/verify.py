@@ -76,14 +76,14 @@ def check_expm_logm_roundtrip() -> float:
 
 
 def check_expm_eigen_reference() -> float:
-    # sqrt(||A^2||_1) for A = t h, the norm the kernel picks its degree
-    # from, at 0, on both sides of every Taylor degree switch and at >= 100,
-    # where the kernel scales and squares; pulse generators over their width
-    # t = w have ||A||_2 = pi.  The reference exponentiates the eigenvalues.
+    # sqrt(||A^2||_1) for A = t h, the norm the kernel picks its squaring
+    # count from, at 0, on both sides of theta_8, 2 theta_8 and 4 theta_8,
+    # and at >= 100; pulse generators over their width t = w have
+    # ||A||_2 = pi.  The reference exponentiates the eigenvalues.
     rng = np.random.default_rng(43)
     norms = [0.0, 100.0, 300.0]
-    for _, theta_m in linalg.TAYLOR_THETA:
-        norms += [theta_m * (1 - 1e-6), theta_m * (1 + 1e-6)]
+    for theta in (linalg.EXPM8_THETA * k for k in (1, 2, 4)):
+        norms += [theta * (1 - 1e-6), theta * (1 + 1e-6)]
     w = 0.05
     worst = 0.0
     for d in (1, 2, 4, 16, 64):
@@ -130,7 +130,7 @@ def check_magnus86_orders() -> float:
                 u_ref, _ = engine.propagate_with_stats(
                     shifted, dt, engine.IntegratorConfig(tol=1e-15))
                 h_ref = linalg.logm_unitary(u_ref)
-                omega6, tail = engine._combine(engine._magnus86_rows(f, t0, dt), stack)
+                omega6, tail = linalg.real_combination(engine._magnus86_rows(f, t0, dt), stack)
                 e6.append(linalg.op_norm(1j * omega6 - h_ref))
                 e8.append(linalg.op_norm(1j * (omega6 + tail) - h_ref))
             err = engine._hermitian_norm_bound(tail)

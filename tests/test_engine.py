@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from aqc_shield import engine
+from aqc_shield import engine, linalg
 from aqc_shield.codes import (
     code_from_universal_group,
     global_x_group,
@@ -258,7 +258,7 @@ class TestMagnus6:
         t0 = 0.3
         errors, gaps = [], []
         for dt in (0.1, 0.05):
-            omega6, tail = engine._combine(engine._magnus86_rows(sin3, t0, dt), stack)
+            omega6, tail = linalg.real_combination(engine._magnus86_rows(sin3, t0, dt), stack)
             shifted = affine(a, b, lambda t: sin3(t0 + t))
             ref, _ = propagate_with_stats(shifted, dt, IntegratorConfig(tol=1e-13))
             errors.append(op_norm(expm_hermitian(1j * omega6, 1.0) - ref))
@@ -276,7 +276,7 @@ class TestMagnus6:
         gram = engine._tail_gram(stack)
         for dt in (0.3, 0.1, 0.02):
             rows = engine._magnus86_rows(sin3, 0.3, dt)
-            _, tail = engine._combine(rows, stack)
+            _, tail = linalg.real_combination(rows, stack)
             cert = engine._gram_certificate(rows[1, engine._TAIL], *gram)
             frobenius = np.linalg.norm(tail)
             assert cert >= frobenius >= op_norm(tail)
@@ -294,7 +294,7 @@ class TestMagnus6:
 
         def tail_at(t0):
             rows = engine._magnus86_rows(sin3, t0, 0.05)
-            return rows[1, engine._TAIL], engine._combine(rows, stack)[1]
+            return rows[1, engine._TAIL], linalg.real_combination(rows, stack)[1]
 
         r0, tail0 = tail_at(0.3)
         anchor = engine._anchor(r0, gram, engine._hermitian_norm_bound(tail0))
@@ -423,6 +423,16 @@ class TestClosedAdiabatic:
         )
         run = run_closed_adiabatic(spec, 3.0)
         assert run.delta_ad <= 1e-9
+
+    def test_diagnostics_are_the_propagation_statistics(self):
+        spec = encoded_spec()
+        cfg = IntegratorConfig(tol=1e-9)
+        run = run_closed_adiabatic(spec, 6.0, cfg)
+        h0, h1 = spec.code_pair
+        generator = AffineGenerator((h0,), h1 - h0, engine._schedule_fraction(spec, 6.0))
+        _, stats = propagate_with_stats(generator, 6.0, cfg)
+        assert run.diagnostics["steps"] == stats["steps"] > 0
+        assert run.diagnostics["error_estimate"] == stats["error_estimate"]
 
 
 def transverse_field_spec():

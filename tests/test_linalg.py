@@ -1,5 +1,6 @@
 import math
 import os
+from fractions import Fraction
 import subprocess
 import sys
 
@@ -11,7 +12,6 @@ import aqc_shield
 from aqc_shield import linalg
 from aqc_shield.engine import AffineGenerator, propagate_with_stats
 from aqc_shield.linalg import (
-    TAYLOR_THETA,
     BranchCutError,
     expm_hermitian,
     logm_unitary,
@@ -65,18 +65,41 @@ class TestExpm:
         with pytest.raises(ValueError, match="exponent is not Hermitian within 1e-10"):
             expm_hermitian(h, 1.0)
 
-    def test_taylor_theta_from_tail_bound(self):
-        # theta_m is the root of sum_{j > m} theta^j / j! = 2^-53
-        def tail(theta, m):
-            return math.fsum(theta**j / math.factorial(j) for j in range(m + 1, m + 40))
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 2, 2)])
+    def test_rejects_non_square_exponent(self, shape):
+        # A vector equals its own transpose, so only the shape refuses it.
+        with pytest.raises(ValueError, match=r"exponent is not a square matrix \(shape"):
+            expm_hermitian(np.ones(shape), 1.0)
 
-        for m, theta_m in TAYLOR_THETA:
-            assert m % 3 == 0
-            lo, hi = 0.0, 1.0
-            for _ in range(200):
-                mid = (lo + hi) / 2
-                lo, hi = (mid, hi) if tail(mid, m) <= 2.0**-53 else (lo, mid)
-            assert theta_m == pytest.approx(lo, rel=1e-12)
+    def test_polynomial_within_unit_roundoff_on_its_segment(self):
+        # Sastre's formula expanded exactly from the stored constants: the
+        # (A^0..A^4) coefficients of its two factors, plus f + e0 y0.
+        c4, c3, d2, d1, e2, e0, f2, f1, f0 = (Fraction(c) for c in linalg.EXPM8_CONSTANTS)
+        b = [Fraction(0)] * 9
+        for i, u in enumerate((0, d1, d2, c3, c4)):
+            for j, v in enumerate((0, 0, e2, c3, c4)):
+                b[i + j] += u * v
+        for k, c in enumerate((f0, f1, f2, e0 * c3, e0 * c4)):
+            b[k] += c
+        assert b[8] == c4 * c4 > 0
+        # e(x) = p(ix) - e^{ix} = sum_k s_k (ix)^k with e^{ix} to degree 24;
+        # Re e takes the even k and Im e the odd k, with sign (-1)^(k // 2).
+        s = [(b[k] if k < 9 else 0) - Fraction(1, math.factorial(k)) for k in range(25)]
+        theta = Fraction(linalg.EXPM8_THETA)
+        h = theta / 200  # the 401-point grid on [-theta, theta]; |e| is even
+        worst = 0.0
+        for j in range(201):
+            x = j * h
+            re, im = (sum(s[k] * (-1) ** (k // 2) * x**k for k in range(r, 25, 2))
+                      for r in (0, 1))
+            worst = max(worst, math.hypot(float(re), float(im)))
+        # Between grid points e is within max |e''| h^2 / 8 of its chord,
+        # which is no larger than e at an end; the Taylor tails of e and
+        # e'' are below 2 theta^25 / 25! and 2 theta^23 / 23!.
+        curvature = sum(k * (k - 1) * abs(s[k]) * theta ** (k - 2) for k in range(2, 25))
+        curvature += 2 * theta**23 / math.factorial(23)
+        bound = worst + float(curvature * h**2 / 8 + 2 * theta**25 / math.factorial(25))
+        assert bound <= 2.0**-53
 
     def test_zero_exponent_is_exact_identity(self, rng):
         assert np.array_equal(expm_hermitian(np.zeros((4, 4)), 1.0), np.eye(4))

@@ -3,8 +3,9 @@
 Each case writes a workload's INI at bath seed 1234 (benchmark seed 0), runs
 one operation through ``perfbench/workloads.py`` and passes what it wrote
 through the reference gate of ``perfbench/gate.py``, which allows every
-propagated value to move by 10 x the run tolerance.  Nothing under
-``perfbench/`` is written.
+propagated value to move by 10 x the run tolerance.  One more case checks
+that no coupled exponential of ``simulate_nb2`` needs a squaring.  Nothing
+under ``perfbench/`` is written.
 """
 
 import json
@@ -18,6 +19,7 @@ sys.path.insert(0, PERFBENCH)
 
 import gate  # noqa: E402
 import workloads  # noqa: E402
+from aqc_shield import engine, linalg, runner  # noqa: E402
 
 SEED = 0
 
@@ -34,3 +36,24 @@ def test_workload_matches_reference(name, tmp_path):
     got = workload.read_outputs(loaded, out_dir, returned)
     tolerance = workload.base_config(loaded).run.tolerance
     assert gate.check(workload.kind, got, ref, tolerance) == []
+
+
+def test_simulate_nb2_coupled_exponentials_need_no_squaring(tmp_path, monkeypatch):
+    # Bath seed 1235 gives the largest theta = sqrt(||A^2||_1) of any coupled
+    # step over the benchmark's 16 seeds (0.1204); at or below
+    # EXPM8_THETA each d = 64 exponential takes three products and no squaring.
+    workload = workloads.WORKLOADS["simulate_nb2"]
+    assert workloads.bath_seed(1) == 1235
+    cfg = workload.load(workload.write_ini(1, str(tmp_path)))
+    thetas = []
+    expm = engine.expm_hermitian
+
+    def spy(h, *args, **kwargs):
+        if h.shape[0] == 64:
+            thetas.append(engine._hermitian_norm_bound(h))
+        return expm(h, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "expm_hermitian", spy)
+    runner.execute_experiment(cfg)
+    assert len(thetas) == 256
+    assert max(thetas) <= linalg.EXPM8_THETA
