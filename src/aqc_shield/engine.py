@@ -23,16 +23,17 @@ encoded run without coupling), the kicks are applied after the last step
 and bound none; otherwise every kick ends a step, and a step clipped short
 by a kick is accepted on a cheaper a-priori bound when that bound fits.
 
-Three canonical runs share one integrator: the coupled run under the full
-Hamiltonian, the uncoupled twin with the system-bath term deleted but
-identical timing and pulses, and the closed adiabatic run with no control
-and no bath at all.  Only the coupled run needs the joint system (x) bath
-space.  Without coupling the bath Hamiltonian commutes with everything
-else, so the twin is propagated on the 2^n system space and lifted as
-U_sys (x) exp(-i H_B T); at zero coupling the coupled run is the twin.
-The interaction frame generated by the non-control system Hamiltonian and
-the bath defines the residual propagator whose Hermitian logarithm gives
-the error phase.
+Three canonical runs share one integrator and one entry, :func:`run_protected`:
+the coupled run under the full Hamiltonian, the uncoupled twin with the
+system-bath term deleted but identical timing and pulses, and the closed
+adiabatic run with no control and no bath at all, all from one initial
+state.  Only the coupled run needs the joint system (x) bath space.
+Without coupling the bath Hamiltonian commutes with everything else, so
+the twin is propagated on the 2^n system space and lifted as
+U_sys (x) exp(-i H_B T); at zero coupling the coupled run is the twin.  The
+interaction frame generated by the non-control system Hamiltonian and the
+bath defines the residual propagator whose Hermitian logarithm gives the
+error phase.
 """
 
 from __future__ import annotations
@@ -202,10 +203,12 @@ class RunArtifacts:
 
 @dataclass
 class ClosedRun:
-    """Closed-system adiabatic run: final state, its ``target`` (the s = 1
-    ground state, the error report's one reference state), their distance
-    and the run's :func:`propagate_with_stats` statistics (no report reads them)."""
+    """Closed-system adiabatic run: initial state (the s = 0 ground state),
+    final state, its ``target`` (the s = 1 ground state, the error report's
+    one reference state), their distance and the run's
+    :func:`propagate_with_stats` statistics (no report reads them)."""
 
+    psi_initial: np.ndarray
     psi_final: np.ndarray
     target: np.ndarray
     delta_ad: float
@@ -529,21 +532,24 @@ def run_closed_adiabatic(spec: AdiabaticSpec, total_time: float,
     ground state at s = 1, which for pure states is sqrt(1 - overlap^2).
     An encoded H(s) commutes with the stabilizers, so the run is propagated
     on the code space (``spec.code_pair``) and its final state lifted once
-    by the code basis V.
+    by the code basis V; an initial state that V V^dag moves by more than
+    1e-10 (V no isometry) raises ``ValueError`` before the propagation.
     """
     h0, h1 = spec.code_pair
     generator = AffineGenerator((h0,), h1 - h0, _schedule_fraction(spec, total_time))
     v = spec.code_basis
     psi0 = instantaneous_ground_state(spec, 0.0)
+    c0 = psi0 if v is None else v.conj().T @ psi0
+    if v is not None and np.linalg.norm(v @ c0 - psi0) > 1e-10:
+        raise ValueError("initial state fell outside the code space")
     u, stats = propagate_with_stats(generator, total_time, cfg)
-    psi = u @ psi0 if v is None else v @ (u @ (v.conj().T @ psi0))
+    psi = u @ c0 if v is None else v @ (u @ c0)
     target = instantaneous_ground_state(spec, 1.0)
     # For unit vectors the trace distance is sqrt(1 - |<target|psi>|^2),
     # i.e. the norm of the component of psi orthogonal to the target;
     # computing that component directly avoids cancellation near zero.
     residual = psi - target * np.vdot(target, psi)
-    return ClosedRun(psi_final=psi, target=target, delta_ad=float(np.linalg.norm(residual)),
-                     diagnostics=stats)
+    return ClosedRun(psi0, psi, target, float(np.linalg.norm(residual)), stats)
 
 
 def protected_hamiltonian(
@@ -660,13 +666,14 @@ def run_protected(
     schedule: PulseSchedule,
     bath_state: str = "maximally-mixed",
     cfg: IntegratorConfig | None = None,
-) -> tuple[RunArtifacts, RunArtifacts]:
-    """Coupled run and its uncoupled twin under identical timing and pulses.
+) -> tuple[RunArtifacts, RunArtifacts, ClosedRun]:
+    """Coupled run, uncoupled twin and closed run (:func:`run_closed_adiabatic`).
 
-    Both start from (ground state of H(0)) (x) (bath initial state); the
-    twin differs only by deletion of the system-bath term.  Each artifact
-    carries the error phase of its interaction-frame effective Hamiltonian.
-    A ``"ground"`` bath state whose H_B ground level is degenerate raises
+    The closed run goes first, over the schedule's T; the others start from
+    its initial state (x) the bath initial state under identical timing and
+    pulses, and the twin lacks only the system-bath term.  Each carries the
+    error phase of its interaction-frame effective Hamiltonian.  A
+    ``"ground"`` bath state whose H_B ground level is degenerate raises
     :class:`DegenerateGroundStateError` before any propagation.
     """
     cfg = cfg or IntegratorConfig()
@@ -676,13 +683,9 @@ def run_protected(
     if bath.n != n:
         raise ValueError(f"bath spec is for {bath.n} system qubits, model has {n}")
     total = schedule.total_time
-    psi0 = instantaneous_ground_state(spec, 0.0)
-    if spec.code_basis is not None:
-        v = spec.code_basis
-        if np.linalg.norm(v @ (v.conj().T @ psi0) - psi0) > 1e-10:
-            raise ValueError("initial state fell outside the code space")
     rho_b0 = _bath_initial_state(bath, bath_state)
-    rho0 = np.kron(np.outer(psi0, psi0.conj()), rho_b0)
+    closed = run_closed_adiabatic(spec, total, cfg)
+    rho0 = np.kron(np.outer(closed.psi_initial, closed.psi_initial.conj()), rho_b0)
 
     u_frame = frame_unitary(spec, bath, schedule, cfg)
 
@@ -700,7 +703,7 @@ def run_protected(
     if not np.any(bath.h_sb):
         # Zero coupling: the coupled run is the twin; it propagated nothing.
         coupled_stats = dict(stats, steps=0, rejected=0, segments=0, floored=0)
-        return replace(twin, diagnostics=coupled_stats), twin
+        return replace(twin, diagnostics=coupled_stats), twin, closed
     h = protected_hamiltonian(spec, bath, schedule, include_coupling=True)
     u_total, stats = propagate_with_stats(h, total, cfg)
-    return artifacts(u_total, stats), twin
+    return artifacts(u_total, stats), twin, closed

@@ -185,10 +185,10 @@ def error_report(
     """
     if coupled.rho_final.shape != uncoupled.rho_final.shape:
         raise ValueError("coupled and uncoupled runs act on different joint spaces")
-    t_c = coupled.diagnostics.get("total_time")
-    t_u = uncoupled.diagnostics.get("total_time")
-    if t_c is not None and t_u is not None and abs(t_c - t_u) > 1e-12 * max(1.0, abs(t_c)):
-        raise ValueError(f"run timing mismatch: {t_c} vs {t_u}")
+    total = schedule.total_time
+    for t in (coupled.diagnostics.get("total_time"), uncoupled.diagnostics.get("total_time")):
+        if t is not None and abs(t - total) > 1e-12 * max(1.0, abs(total)):
+            raise ValueError(f"run timing mismatch: a run over T = {t}, the schedule's is {total}")
     ideal_system = np.outer(closed.target, closed.target.conj())
     dim_s = ideal_system.shape[0]
     # a remainder fails the partial traces' shape check

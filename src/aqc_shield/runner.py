@@ -71,10 +71,9 @@ def execute_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     m, r = cfg.model, cfg.run
     bath = model.linear_decoherence(m.n, m.n_b, m.j, m.seed, beta_b=m.beta_b)
     icfg = engine.IntegratorConfig(tol=r.tolerance)
-    coupled, uncoupled = engine.run_protected(
+    coupled, uncoupled, closed = engine.run_protected(
         built.spec, bath, built.schedule, bath_state=r.bath_state, cfg=icfg,
     )
-    closed = engine.run_closed_adiabatic(built.spec, built.schedule.total_time, cfg=icfg)
     beta = model.beta_system_bath(built.spec, bath.h_b)
     budget = metrics.phi_budget(built.schedule, m.j, beta, alpha=r.alpha)
     pred = None

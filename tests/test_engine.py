@@ -424,6 +424,22 @@ class TestClosedAdiabatic:
         run = run_closed_adiabatic(spec, 3.0)
         assert run.delta_ad <= 1e-9
 
+    def test_code_basis_off_isometry_refused_before_propagation(self, monkeypatch):
+        # with V -> 2V, V^dag psi0 drops part of psi0: the projection the run
+        # starts from would not be the ground state it reports
+        def no_propagation(*args, **kwargs):
+            raise AssertionError("a propagation was started")
+
+        spec = encoded_spec()
+        spec = dataclasses.replace(spec, code_basis=2 * spec.code_basis)
+        schedule = pdd_schedule(universal_group(4), 0.25, 0.0, 1)
+        bath = linear_decoherence(4, 1, 0.1, seed=7)
+        monkeypatch.setattr(engine, "propagate_with_stats", no_propagation)
+        with pytest.raises(ValueError, match="outside the code space"):
+            run_closed_adiabatic(spec, 1.0)
+        with pytest.raises(ValueError, match="outside the code space"):
+            run_protected(spec, bath, schedule)
+
     def test_diagnostics_are_the_propagation_statistics(self):
         spec = encoded_spec()
         cfg = IntegratorConfig(tol=1e-9)
@@ -453,7 +469,7 @@ def quick_protected(j=0.1, total_time=2.0, tau=0.25, w=0.0, tol=1e-9, group=None
     spec = dataclasses.replace(spec_fn(), penalty=penalty,
                                penalty_during_pulse=penalty_during_pulse)
     bath = linear_decoherence(4, n_b, j, seed=seed)
-    coupled, uncoupled = run_protected(spec, bath, schedule, cfg=IntegratorConfig(tol=tol))
+    coupled, uncoupled, _ = run_protected(spec, bath, schedule, cfg=IntegratorConfig(tol=tol))
     return spec, bath, schedule, coupled, uncoupled
 
 
@@ -533,10 +549,28 @@ class TestRunProtected:
         with pytest.raises(DegenerateGroundStateError, match="ground level degenerate of the bath"):
             run_protected(spec, bath, schedule, bath_state="ground")
 
+    @pytest.mark.parametrize("spec_fn, j", [
+        pytest.param(encoded_spec, 0.1, id="encoded"),
+        pytest.param(transverse_field_spec, 0.1, id="unencoded"),
+        pytest.param(encoded_spec, 0.0, id="zero-coupling"),
+    ])
+    def test_closed_run_is_the_direct_closed_run(self, spec_fn, j):
+        spec = spec_fn()
+        schedule = pdd_schedule(universal_group(4), 0.25, 0.0, 2)
+        bath = linear_decoherence(4, 1, j, seed=11)
+        cfg = IntegratorConfig(tol=1e-9)
+        _, _, closed = run_protected(spec, bath, schedule, cfg=cfg)
+        direct = run_closed_adiabatic(spec, schedule.total_time, cfg)
+        for name in ("psi_initial", "psi_final", "target"):
+            assert np.array_equal(getattr(closed, name), getattr(direct, name))
+        assert closed.delta_ad == direct.delta_ad
+        assert closed.diagnostics == direct.diagnostics
+        assert closed.diagnostics["steps"] > 0
+
     def test_ground_bath_state_is_lowest_eigenvector(self):
         spec, bath, schedule, _, _ = quick_protected(j=0.0, n_b=2)
-        _, twin = run_protected(spec, bath, schedule, bath_state="ground",
-                                cfg=IntegratorConfig(tol=1e-9))
+        _, twin, _ = run_protected(spec, bath, schedule, bath_state="ground",
+                                   cfg=IntegratorConfig(tol=1e-9))
         u = twin.u_total
         rho_b0 = partial_trace(dagger(u) @ twin.rho_final @ u, (16, 4), (1,))
         v = np.linalg.eigh(bath.h_b)[1][:, 0]
@@ -646,8 +680,10 @@ class TestRunProtected:
             assert op_norm(art.u_total.conj().T @ art.u_total - np.eye(d)) <= 1e-9
 
     def test_uncoupled_reduced_state_matches_closed_run(self):
-        spec, bath, schedule, _, uncoupled = quick_protected(j=0.0, tol=1e-11)
-        closed = run_closed_adiabatic(spec, schedule.total_time, cfg=IntegratorConfig(tol=1e-11))
+        schedule = pdd_schedule(universal_group(4), 0.25, 0.0, 2)
+        bath = linear_decoherence(4, 1, 0.0, seed=11)
+        _, uncoupled, closed = run_protected(encoded_spec(), bath, schedule,
+                                             cfg=IntegratorConfig(tol=1e-11))
         rho_closed = np.outer(closed.psi_final, closed.psi_final.conj())
         rho_s = partial_trace(uncoupled.rho_final, (16, bath.bath_dim), (0,))
         assert trace_distance(rho_s, rho_closed) <= 1e-9

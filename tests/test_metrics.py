@@ -133,8 +133,8 @@ class TestSerialization:
             u_total=np.eye(4, dtype=complex), rho_final=rho, phi=0.0,
             diagnostics={"total_time": 1.0},
         )
-        closed = ClosedRun(psi_final=np.array([1.0, 0.0]), target=np.array([1.0, 0.0]),
-                           delta_ad=0.0)
+        ket0 = np.array([1.0, 0.0])
+        closed = ClosedRun(psi_initial=ket0, psi_final=ket0, target=ket0, delta_ad=0.0)
         schedule = pdd_schedule(global_x_group(1), 0.25, 0.0, 2)  # T = 1
         report = error_report(art, art, closed, schedule, 0.0)
         row = report.csv_row().split(",")
@@ -175,11 +175,24 @@ class TestErrorReport:
                 diagnostics={"total_time": total_time},
             )
 
-        closed = ClosedRun(psi_final=np.array([1.0, 0.0]), target=np.array([1.0, 0.0]),
-                           delta_ad=0.0)
+        ket0 = np.array([1.0, 0.0])
+        closed = ClosedRun(psi_initial=ket0, psi_final=ket0, target=ket0, delta_ad=0.0)
         schedule = pdd_schedule(global_x_group(1), 0.25, 0.0, 2)
         with pytest.raises(ValueError, match="timing"):
             error_report(art(1.0), art(2.0), closed, schedule, 0.0)
+
+    def test_runs_timed_off_the_schedule_rejected(self):
+        # the runs agree with each other but not with the T the CSV reports
+        from aqc_shield.engine import ClosedRun, RunArtifacts
+
+        art = RunArtifacts(u_total=np.eye(4, dtype=complex),
+                           rho_final=np.eye(4, dtype=complex) / 4, phi=0.0,
+                           diagnostics={"total_time": 2.0})
+        ket0 = np.array([1.0, 0.0])
+        closed = ClosedRun(psi_initial=ket0, psi_final=ket0, target=ket0, delta_ad=0.0)
+        schedule = pdd_schedule(global_x_group(1), 0.25, 0.0, 2)  # T = 1
+        with pytest.raises(ValueError, match="timing"):
+            error_report(art, art, closed, schedule, 0.0)
 
     def test_system_dimension_not_dividing_joint_refused(self):
         from aqc_shield.engine import ClosedRun, RunArtifacts
@@ -187,7 +200,7 @@ class TestErrorReport:
         art = RunArtifacts(u_total=np.eye(4, dtype=complex),
                            rho_final=np.eye(4, dtype=complex) / 4, phi=0.0)
         target = np.array([1.0, 0.0, 0.0])
-        closed = ClosedRun(psi_final=target, target=target, delta_ad=0.0)
+        closed = ClosedRun(psi_initial=target, psi_final=target, target=target, delta_ad=0.0)
         schedule = pdd_schedule(global_x_group(1), 0.25, 0.0, 2)
         with pytest.raises(ValueError, match="does not match dims"):
             error_report(art, art, closed, schedule, 0.0)
@@ -206,7 +219,8 @@ class TestErrorReport:
         )
         schedule = pdd_schedule(global_x_group(1), 0.25, 0.0, 2)
         for target, expected in (([1.0, 0.0], math.sin(theta)), ([0.0, 1.0], math.cos(theta))):
-            closed = ClosedRun(psi_final=np.array(target), target=np.array(target), delta_ad=0.0)
+            closed = ClosedRun(psi_initial=np.array(target), psi_final=np.array(target),
+                               target=np.array(target), delta_ad=0.0)
             report = error_report(art, art, closed, schedule, 0.0)
             assert report.delta_s == pytest.approx(expected, abs=1e-12)
             assert report.d_tot == pytest.approx(expected, abs=1e-12)

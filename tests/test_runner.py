@@ -154,6 +154,22 @@ class TestExecute:
         assert result.report.slacks["eq3"] >= 0
 
 
+def test_one_ground_state_solve_per_endpoint(monkeypatch):
+    # the three runs start from one initial state: H(0) and H(1) are each
+    # diagonalized once per experiment
+    calls = []
+    solve = engine.instantaneous_ground_state
+
+    def spy(spec, s):
+        calls.append(s)
+        return solve(spec, s)
+
+    monkeypatch.setattr(engine, "instantaneous_ground_state", spy)
+    path = next(p for p in WORKLOADS if p.stem == "simulate_nb2")
+    runner.execute_experiment(load_config(str(path)))
+    assert sorted(calls) == [0.0, 1.0]
+
+
 @pytest.mark.parametrize("path", WORKLOADS, ids=[p.stem for p in WORKLOADS])
 def test_shipped_workload_builds(path):
     # validation may only refuse what the builders refuse: every shipped
