@@ -7,6 +7,7 @@ from .linalg import (
     op_norm,
     trace_norm,
     expm_hermitian,
+    expm_antihermitian,
     logm_unitary,
     partial_trace,
     BranchCutError,

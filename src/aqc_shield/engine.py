@@ -3,8 +3,8 @@
 Every generator here is piecewise affine, H(t) = P_k + f(t) Q: Q = H1 - H0
 is shared, f is the interpolation schedule, and the piece P_k holds H0 with
 the penalty, bath and coupling terms and, inside a finite pulse window, that
-window's pulse generator.  The integrator takes Hermitian-exponential steps
-of a sixth-order Magnus exponent, so every propagator is unitary to
+window's pulse generator.  Each step exponentiates a sixth-order Magnus
+exponent, anti-Hermitian by construction, so every propagator is unitary to
 roundoff.  For an affine generator that exponent and its embedded
 eighth-order companion are real combinations of 23 nested commutators
 formed once per piece, so a trial step costs one linear combination and one
@@ -48,6 +48,7 @@ import numpy as np
 from .pauli import PauliString, conjugate, signed_permutation
 from .linalg import (
     dagger,
+    expm_antihermitian,
     expm_hermitian,
     logm_unitary,
     op_norm,
@@ -206,7 +207,8 @@ class ClosedRun:
     """Closed-system adiabatic run: initial state (the s = 0 ground state),
     final state, its ``target`` (the s = 1 ground state, the error report's
     one reference state), their distance and the run's
-    :func:`propagate_with_stats` statistics (no report reads them)."""
+    :func:`propagate_with_stats` statistics plus ``total_time`` (the report
+    reads only that)."""
 
     psi_initial: np.ndarray
     psi_final: np.ndarray
@@ -252,9 +254,12 @@ def propagate_with_stats(
     local error in the operator norm, since ||e^A - e^B|| <= ||A - B|| for
     anti-Hermitian A and B and Omega8 is two orders closer to the exact
     exponent.  A trial of length dt is accepted when err is within
-    tol * dt / T (at least 64 eps) and then costs one exponential; the next
-    step size follows err ~ dt^7 against that share ~ dt, the exponent 1/6.
-    The step size is carried across segments and clipped to each edge.
+    tol * dt / T (at least 64 eps) and then costs one exponential,
+    :func:`~.linalg.expm_antihermitian` of Omega6 as it is, unchecked: it is
+    a real combination of stack entries that are anti-Hermitian by
+    construction.  The next step size follows err ~ dt^7 against that share
+    ~ dt, the exponent 1/6.  The step size is carried across segments and
+    clipped to each edge.
 
     A step that a kick clips short of the current step size is first tried
     on an a-priori certificate that costs no d-sized product: the last
@@ -343,7 +348,7 @@ def propagate_with_stats(
                         grams[piece] = _tail_gram(stack)
                     anchors[piece] = _anchor(r, grams[piece][0], err)
             if err <= allowed:
-                u = expm_hermitian(1j * omega6, 1.0, tol=1e-9) @ u
+                u = expm_antihermitian(omega6) @ u
                 stats["steps"] += 1
                 if share < floor:
                     stats["floored"] += 1
@@ -375,7 +380,9 @@ def _commutator_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     and Y = -iQ, in one (23, d, d) array: 21 products, written in place.
 
     These are the Lyndon-basis commutators of degree <= 6 that the 8(6)
-    pair reads from A(t) = X + f(t) Y.
+    pair reads from A(t) = X + f(t) Y.  Every entry is exactly
+    anti-Hermitian: P and Q are exactly Hermitian (the generator holds
+    Hermitian parts), and each commutator is formed as ab - (ab)^dag.
     """
     d = q.shape[0]
     stack = np.empty((2 + len(_COMMUTATOR_WORDS), d, d), dtype=complex)
@@ -549,6 +556,7 @@ def run_closed_adiabatic(spec: AdiabaticSpec, total_time: float,
     # i.e. the norm of the component of psi orthogonal to the target;
     # computing that component directly avoids cancellation near zero.
     residual = psi - target * np.vdot(target, psi)
+    stats["total_time"] = total_time
     return ClosedRun(psi0, psi, target, float(np.linalg.norm(residual)), stats)
 
 

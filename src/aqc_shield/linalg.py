@@ -1,13 +1,14 @@
 """Dense complex-matrix kernel: norms, exponentials, logarithms, partial trace.
 
-Everything here works on plain ``numpy.ndarray`` values.  The Hermitian
-exponential is one fixed degree-8 polynomial taken in three matrix products,
-with scaling and squaring, within unit roundoff of the exponential on the
-anti-Hermitian exponent's imaginary spectrum (:func:`expm_hermitian`).  The
-unitary logarithm goes through the unitary's eigenvectors, taken from a
-Hermitian Cayley transform with NumPy's eigensolvers, rather than a series
-expansion, which is exact to roundoff and makes the principal branch
-explicit.
+Everything here works on plain ``numpy.ndarray`` values.  The exponential
+of an anti-Hermitian exponent is one fixed degree-8 polynomial taken in
+three matrix products, with scaling and squaring, within unit roundoff of
+the exponential on the exponent's imaginary spectrum
+(:func:`expm_antihermitian`); :func:`expm_hermitian` checks a Hermitian h
+and hands it -i t h.  The unitary logarithm goes through the unitary's
+eigenvectors, taken from a Hermitian Cayley transform with NumPy's
+eigensolvers, rather than a series expansion, which is exact to roundoff
+and makes the principal branch explicit.
 """
 
 from __future__ import annotations
@@ -86,24 +87,34 @@ def real_combination(weights: np.ndarray, entries: np.ndarray) -> np.ndarray:
 
 
 def expm_hermitian(h: np.ndarray, t: float = 1.0, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """exp(-i t h) for Hermitian h by a fixed degree-8 polynomial p.
+    """exp(-i t h) for Hermitian h: :func:`expm_antihermitian` of -i t h.
 
-    With A = -i t h, A^2 is formed first and theta = sqrt(||A^2||_1), the
-    square root of its largest column sum: an upper bound on ||A||_2, since
-    ||A||_2^2 = ||A^2||_2 for anti-Hermitian A, and never above ||A||_1.
-    A is normal, so ||p(A) - e^A||_2 is the largest |p(ix) - e^{ix}| at its
-    eigenvalues ix, |x| <= theta: p, the Chebyshev interpolant of e^{ix} on
+    ``h`` must be a square matrix, Hermitian within ``tol``, and is
+    replaced by its Hermitian part, so the exponent is anti-Hermitian.
+    """
+    require_hermitian(h, tol, "exponent")
+    return expm_antihermitian(-1j * t * (0.5 * (h + h.conj().T)))
+
+
+def expm_antihermitian(a: np.ndarray) -> np.ndarray:
+    """exp(a) for anti-Hermitian a, taken as given, by a fixed degree-8
+    polynomial p.
+
+    A^2 is formed first and theta = sqrt(||A^2||_1), the square root of its
+    largest column sum: an upper bound on ||A||_2, since ||A||_2^2 =
+    ||A^2||_2 for anti-Hermitian A, and never above ||A||_1.  A is normal,
+    so ||p(A) - e^A||_2 is the largest |p(ix) - e^{ix}| at its eigenvalues
+    ix, |x| <= theta: p, the Chebyshev interpolant of e^{ix} on
     |x| <= :data:`EXPM8_THETA`, is within 2^-53 there.  Above that A is
     scaled by 2^-s and p squared s times.  p takes three products, its sums
     being real row combinations of one buffer holding A, A^2 and y0.  The
-    result is unitary to roundoff.  ``h`` must be Hermitian within ``tol``
-    and is replaced by its Hermitian part.
+    result is unitary to roundoff.  ``a`` is not checked: an exponent that
+    is not anti-Hermitian loses the bound above, and one with a non-finite
+    norm raises ``ValueError``.
     """
-    require_hermitian(h, tol, "exponent")
-    h = 0.5 * (h + h.conj().T)
-    d = h.shape[0]
+    d = a.shape[0]
     powers = np.empty((3, d, d), dtype=complex)
-    np.multiply(h, -1j * t, out=powers[0])
+    powers[0] = a
     np.matmul(powers[0], powers[0], out=powers[1])
     theta = math.sqrt(float(np.abs(powers[1]).sum(axis=0).max()))
     if not math.isfinite(theta):

@@ -181,12 +181,14 @@ def error_report(
     is.  The ideal adiabatic joint state is that target tensored with the
     bath marginal of the uncoupled run; with complete pulse cycles and the
     non-interference condition this realizes the abstract ideal state
-    without constructing the control factor explicitly.
+    without constructing the control factor explicitly.  A run whose
+    ``diagnostics`` record a ``total_time`` other than the schedule's T
+    (relative 1e-12) raises ``ValueError``.
     """
     if coupled.rho_final.shape != uncoupled.rho_final.shape:
         raise ValueError("coupled and uncoupled runs act on different joint spaces")
     total = schedule.total_time
-    for t in (coupled.diagnostics.get("total_time"), uncoupled.diagnostics.get("total_time")):
+    for t in (run.diagnostics.get("total_time") for run in (coupled, uncoupled, closed)):
         if t is not None and abs(t - total) > 1e-12 * max(1.0, abs(total)):
             raise ValueError(f"run timing mismatch: a run over T = {t}, the schedule's is {total}")
     ideal_system = np.outer(closed.target, closed.target.conj())

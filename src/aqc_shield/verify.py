@@ -134,7 +134,7 @@ def check_magnus86_orders() -> float:
                 e6.append(linalg.op_norm(1j * omega6 - h_ref))
                 e8.append(linalg.op_norm(1j * (omega6 + tail) - h_ref))
             err = engine._hermitian_norm_bound(tail)
-            ratio = err / linalg.op_norm(linalg.expm_hermitian(1j * omega6, 1.0) - u_ref)
+            ratio = err / linalg.op_norm(linalg.expm_antihermitian(omega6) - u_ref)
             slack = min(slack, math.log2(e6[0] / e6[1]) - 13.0,
                         math.log2(e8[0] / e8[1]) - 17.0, ratio - 0.9, 2.0 - ratio)
     return slack

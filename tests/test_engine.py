@@ -26,7 +26,7 @@ from aqc_shield.engine import (
     run_closed_adiabatic,
     run_protected,
 )
-from aqc_shield.linalg import dagger, expm_hermitian, op_norm, partial_trace
+from aqc_shield.linalg import dagger, expm_antihermitian, expm_hermitian, op_norm, partial_trace
 from aqc_shield.metrics import trace_distance
 from aqc_shield.model import AdiabaticSpec, Schedule, linear_decoherence
 from aqc_shield.pauli import PauliString, to_dense
@@ -242,11 +242,11 @@ class TestMagnus6:
     def counting_expm(monkeypatch):
         calls = []
 
-        def spy(h, *args, **kwargs):
-            calls.append(h.shape)
-            return expm_hermitian(h, *args, **kwargs)
+        def spy(a):
+            calls.append(a.shape)
+            return expm_antihermitian(a)
 
-        monkeypatch.setattr(engine, "expm_hermitian", spy)
+        monkeypatch.setattr(engine, "expm_antihermitian", spy)
         return calls
 
     def test_single_step_orders(self, rng):
@@ -261,11 +261,18 @@ class TestMagnus6:
             omega6, tail = linalg.real_combination(engine._magnus86_rows(sin3, t0, dt), stack)
             shifted = affine(a, b, lambda t: sin3(t0 + t))
             ref, _ = propagate_with_stats(shifted, dt, IntegratorConfig(tol=1e-13))
-            errors.append(op_norm(expm_hermitian(1j * omega6, 1.0) - ref))
+            errors.append(op_norm(expm_antihermitian(omega6) - ref))
             gaps.append(engine._hermitian_norm_bound(1j * tail))
             assert gaps[-1] >= errors[-1]
         assert errors[0] / errors[1] >= 2 ** 6.5
         assert gaps[0] / gaps[1] >= 2 ** 6.5
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_commutator_stack_is_exactly_antihermitian(self, rng, d):
+        # the step exponentiates real combinations of these entries unchecked
+        stack = engine._commutator_stack(random_hermitian(rng, d), random_hermitian(rng, d))
+        for s in stack:
+            assert np.array_equal(s, -s.conj().T)
 
     def test_gram_certificate_bounds_tail(self, rng):
         # sqrt(r^T G r) is the tail's Frobenius norm, which is at least its

@@ -13,6 +13,7 @@ from aqc_shield import linalg
 from aqc_shield.engine import AffineGenerator, propagate_with_stats
 from aqc_shield.linalg import (
     BranchCutError,
+    expm_antihermitian,
     expm_hermitian,
     logm_unitary,
     op_norm,
@@ -104,6 +105,7 @@ class TestExpm:
     def test_zero_exponent_is_exact_identity(self, rng):
         assert np.array_equal(expm_hermitian(np.zeros((4, 4)), 1.0), np.eye(4))
         assert np.array_equal(expm_hermitian(random_hermitian(rng, 4), 0.0), np.eye(4))
+        assert np.array_equal(expm_antihermitian(np.zeros((4, 4), dtype=complex)), np.eye(4))
 
     def test_inverse_is_negative_time(self, rng):
         h = random_hermitian(rng, 8)
@@ -115,6 +117,26 @@ class TestExpm:
         u = expm_hermitian(np.array([[2.5]]), 0.3)
         assert u.shape == (1, 1)
         assert u[0, 0] == pytest.approx(np.exp(-0.75j), abs=1e-15)
+
+    @pytest.mark.parametrize("t", [0.0, 0.01, 0.3, 5.0, 60.0])
+    def test_antihermitian_entry_is_the_checked_entry(self, rng, t):
+        # the checked entry hands its exponent on as -i t h: bitwise equal,
+        # from no squaring (t <= 0.01 here) to several
+        h = random_hermitian(rng, 8)
+        assert np.array_equal(expm_antihermitian(-1j * t * h), expm_hermitian(h, t))
+
+    @pytest.mark.parametrize("t", [0.01, 0.3, 5.0])
+    def test_antihermitian_entry_is_unitary(self, rng, t):
+        # up to 8 squarings; each squaring can double the rounding
+        u = expm_antihermitian(-1j * t * random_hermitian(rng, 8))
+        assert np.max(np.abs(u.conj().T @ u - np.eye(8))) <= 1e-13
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_antihermitian_non_finite_exponent_refused(self, bad):
+        a = np.zeros((4, 4), dtype=complex)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite norm"), np.errstate(invalid="ignore"):
+            expm_antihermitian(a)
 
     def test_step_path_takes_no_eigendecomposition(self, rng, monkeypatch):
         def no_eigh(*args, **kwargs):

@@ -4,14 +4,15 @@ Each case writes a workload's INI at bath seed 1234 (benchmark seed 0), runs
 one operation through ``perfbench/workloads.py`` and passes what it wrote
 through the reference gate of ``perfbench/gate.py``, which allows every
 propagated value to move by 10 x the run tolerance.  One more case checks
-that no coupled exponential of ``simulate_nb2`` needs a squaring.  Nothing
-under ``perfbench/`` is written.
+that every coupled exponent of ``simulate_nb2`` is anti-Hermitian and needs
+no squaring.  Nothing under ``perfbench/`` is written.
 """
 
 import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -42,18 +43,22 @@ def test_simulate_nb2_coupled_exponentials_need_no_squaring(tmp_path, monkeypatc
     # Bath seed 1235 gives the largest theta = sqrt(||A^2||_1) of any coupled
     # step over the benchmark's 16 seeds (0.1204); at or below
     # EXPM8_THETA each d = 64 exponential takes three products and no squaring.
+    # The step hands its exponents over unchecked; each must be anti-Hermitian
+    # within 1e-9, the tolerance a per-step check would apply.
     workload = workloads.WORKLOADS["simulate_nb2"]
     assert workloads.bath_seed(1) == 1235
     cfg = workload.load(workload.write_ini(1, str(tmp_path)))
-    thetas = []
-    expm = engine.expm_hermitian
+    thetas, deviations = [], []
+    expm = engine.expm_antihermitian
 
-    def spy(h, *args, **kwargs):
-        if h.shape[0] == 64:
-            thetas.append(engine._hermitian_norm_bound(h))
-        return expm(h, *args, **kwargs)
+    def spy(a):
+        if a.shape[0] == 64:
+            thetas.append(engine._hermitian_norm_bound(a))
+            deviations.append(float(np.max(np.abs(a + a.conj().T))))
+        return expm(a)
 
-    monkeypatch.setattr(engine, "expm_hermitian", spy)
+    monkeypatch.setattr(engine, "expm_antihermitian", spy)
     runner.execute_experiment(cfg)
     assert len(thetas) == 256
     assert max(thetas) <= linalg.EXPM8_THETA
+    assert max(deviations) <= 1e-9

@@ -170,6 +170,19 @@ def test_one_ground_state_solve_per_endpoint(monkeypatch):
     assert sorted(calls) == [0.0, 1.0]
 
 
+def test_report_refuses_closed_run_at_another_time():
+    # simulate_nb2 at n_b = 1: a closed run over 2T (delta_ad 0.0651 against
+    # the schedule's 0.2639) must not be reported under the schedule's T
+    cfg = load_config(str(next(p for p in WORKLOADS if p.stem == "simulate_nb2")))
+    cfg.model.n_b = 1
+    result = runner.execute_experiment(cfg)  # reports its own closed run
+    schedule = result.built.schedule
+    dilated = engine.run_closed_adiabatic(result.built.spec, 2 * schedule.total_time,
+                                          engine.IntegratorConfig(tol=cfg.run.tolerance))
+    with pytest.raises(ValueError, match="timing"):
+        metrics.error_report(result.coupled, result.uncoupled, dilated, schedule, cfg.model.j)
+
+
 @pytest.mark.parametrize("path", WORKLOADS, ids=[p.stem for p in WORKLOADS])
 def test_shipped_workload_builds(path):
     # validation may only refuse what the builders refuse: every shipped

@@ -1,4 +1,4 @@
-"""Derive the constants of ``aqc_shield.linalg.expm_hermitian``'s polynomial.
+"""Derive the constants of ``aqc_shield.linalg.expm_antihermitian``'s polynomial.
 
 Run from the root of a checkout (needs mpmath, which the package does not
 depend on):
