@@ -70,8 +70,8 @@ class ProtocolConfig:
     z: float | None = None
     epsilon1: float | None = None
     epsilon2: float | None = None
-    c_tau: float = 1.0
-    c_w: float = 1.0
+    c_tau: float | None = None
+    c_w: float | None = None
 
     @property
     def uses_scaling_rule(self) -> bool:
@@ -298,7 +298,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("model.seed must be nonnegative: it seeds the bath's generator")
 
     explicit = [k for k in _EXPLICIT_KEYS if getattr(p, k) is not None]
-    scaling = [k for k in _SCALING_KEYS[:4] if getattr(p, k) is not None]
+    scaling = [k for k in _SCALING_KEYS if getattr(p, k) is not None]
     if scaling and explicit:
         raise ConfigError(
             f"protocol mixes explicit keys {explicit} with scaling-rule keys {scaling}"
@@ -335,6 +335,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
                           "H_B = 0 has no unique ground state")
     if r.alpha < 0:
         raise ConfigError("run.alpha must be nonnegative: it scales a budget term")
+    for key in ("out_dir", "prefix"):
+        if not getattr(cfg.output, key):
+            raise ConfigError(f"output.{key} must not be empty")
     try:
         build_parts(cfg)
     except ValueError as exc:
@@ -362,8 +365,8 @@ def build_parts(cfg: ExperimentConfig) -> tuple:
             delta0=m.delta0,
             j_coupling=m.j,
             z=p.z,
-            c_tau=p.c_tau,
-            c_w=p.c_w,
+            # unset prefactors keep the rule's own defaults; c_w = 0 is valid
+            **{k: getattr(p, k) for k in ("c_tau", "c_w") if getattr(p, k) is not None},
         )
         tau, w, _, l_pulses = protocols.scaled_parameters(scaling_rule, m.n, group.order)
         cycles = l_pulses // group.order

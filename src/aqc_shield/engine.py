@@ -31,9 +31,9 @@ state.  Only the coupled run needs the joint system (x) bath space.
 Without coupling the bath Hamiltonian commutes with everything else, so
 the twin is propagated on the 2^n system space and lifted as
 U_sys (x) exp(-i H_B T); at zero coupling the coupled run is the twin.  The
-interaction frame generated by the non-control system Hamiltonian and the
-bath defines the residual propagator whose Hermitian logarithm gives the
-error phase.
+interaction frame U_F, generated by the non-control system Hamiltonian,
+lives on the system space; the bath factor, taken once, rides along.  The
+Hermitian logarithm of the residual propagator gives the error phase.
 """
 
 from __future__ import annotations
@@ -627,19 +627,17 @@ def _timed_hamiltonian(
 
 def frame_unitary(
     spec: AdiabaticSpec,
-    bath: SystemBathSpec,
     schedule: PulseSchedule,
     cfg: IntegratorConfig | None = None,
 ) -> np.ndarray:
-    """U_frame = U_sys (x) U_bath, generated by the non-control Hamiltonian.
+    """U_F on the 2^n system space, generated by the non-control Hamiltonian.
 
-    The frame is generated by the adiabatic (plus penalty) and bath parts,
-    so the interaction-frame propagator U_frame^dag U_total contains the
-    control and whatever the coupling did.
+    The frame is generated by the adiabatic (plus penalty) part; on the joint
+    space the bath's own factor rides along, (U_F (x) U_B)^dag U_total, which
+    contains the control and whatever the coupling did.
     """
-    total = schedule.total_time
-    u_sys, _ = propagate_with_stats(_timed_hamiltonian(spec, schedule, False), total, cfg)
-    return np.kron(u_sys, expm_hermitian(bath.h_b, total))
+    h = _timed_hamiltonian(spec, schedule, False)
+    return propagate_with_stats(h, schedule.total_time, cfg)[0]
 
 
 def effective_hamiltonian(u_interaction: np.ndarray, total_time: float) -> tuple[np.ndarray, float]:
@@ -695,23 +693,24 @@ def run_protected(
     closed = run_closed_adiabatic(spec, total, cfg)
     rho0 = np.kron(np.outer(closed.psi_initial, closed.psi_initial.conj()), rho_b0)
 
-    u_frame = frame_unitary(spec, bath, schedule, cfg)
+    u_f, u_b = frame_unitary(spec, schedule, cfg), expm_hermitian(bath.h_b, total)
 
-    def artifacts(u_total: np.ndarray, stats: dict) -> RunArtifacts:
+    def artifacts(u_total: np.ndarray, u_interaction: np.ndarray, stats: dict) -> RunArtifacts:
         rho_final = u_total @ rho0 @ u_total.conj().T
-        _, phi = effective_hamiltonian(dagger(u_frame) @ u_total, total)
+        _, phi = effective_hamiltonian(u_interaction, total)
         stats["total_time"] = total
         return RunArtifacts(u_total, rho_final, phi, diagnostics=stats)
 
-    # The twin's generator is H_sys(t) (x) I + I (x) H_B with commuting
-    # parts, so its propagator is U_sys (x) exp(-i H_B T): propagate at 2^n.
+    # H_sys(t) (x) I + I (x) H_B has commuting parts, so the twin is U_sys (x)
+    # U_B, propagated at 2^n, and its Phi is U_F^dag U_sys's: log(A (x) I) =
+    # log(A) (x) I has the same norm and trace phase.
     h_sys = protected_hamiltonian(spec, bath, schedule, include_coupling=False)
     u_sys, stats = propagate_with_stats(h_sys, total, cfg)
-    twin = artifacts(np.kron(u_sys, expm_hermitian(bath.h_b, total)), stats)
+    twin = artifacts(np.kron(u_sys, u_b), dagger(u_f) @ u_sys, stats)
     if not np.any(bath.h_sb):
         # Zero coupling: the coupled run is the twin; it propagated nothing.
         coupled_stats = dict(stats, steps=0, rejected=0, segments=0, floored=0)
         return replace(twin, diagnostics=coupled_stats), twin, closed
     h = protected_hamiltonian(spec, bath, schedule, include_coupling=True)
     u_total, stats = propagate_with_stats(h, total, cfg)
-    return artifacts(u_total, stats), twin, closed
+    return artifacts(u_total, dagger(np.kron(u_f, u_b)) @ u_total, stats), twin, closed

@@ -405,7 +405,7 @@ def check_magnus_ratio() -> float:
         spec = model.AdiabaticSpec(n=2, h0_terms=[], h1_terms=[])
         h = engine.protected_hamiltonian(spec, bath_zero, schedule)
         u_total, _ = engine.propagate_with_stats(h, schedule.total_time)
-        u_frame = engine.frame_unitary(spec, bath_zero, schedule)
+        u_frame = np.kron(engine.frame_unitary(spec, schedule), np.eye(bath.bath_dim))
         h_eff, _ = engine.effective_hamiltonian(
             linalg.dagger(u_frame) @ u_total, schedule.total_time)
         errors.append(linalg.op_norm(h_eff - target))

@@ -168,6 +168,29 @@ class TestValidation:
         with pytest.raises(ConfigError, match="at most 0.001: above it the integrator"):
             loads_config(MINIMAL + "\n[run]\ntolerance = 2e-3\n")
 
+    @pytest.mark.parametrize("key", ["prefix", "out_dir"])
+    def test_empty_output_field_refused(self, key):
+        # refused on load, not once the run has finished and writes its files
+        assert getattr(loads_config(MINIMAL + f"\n[output]\n{key} = x\n").output, key) == "x"
+        with pytest.raises(ConfigError, match=f"output.{key} must not be empty"):
+            loads_config(MINIMAL + f"\n[output]\n{key} =\n")
+
+    @pytest.mark.parametrize("key", ["c_tau", "c_w"])
+    def test_scaling_prefactor_with_explicit_keys_refused(self, key):
+        text = MINIMAL.replace("cycles = 4", "total_time = 1") + f"{key} = 5\n"
+        with pytest.raises(ConfigError, match=rf"mixes explicit keys .* \['{key}'\]"):
+            loads_config(text)
+
+    def test_scaling_prefactors_default_and_ideal_pulses(self):
+        cfg = loads_config(SCALING)
+        assert cfg.protocol.c_tau is None and cfg.protocol.c_w is None
+        rule = config.build_parts(cfg)[4]
+        assert (rule.c_tau, rule.c_w) == (1.0, 1.0)
+        # c_w = 0 is the ideal-pulse limit, not an unset key
+        *_, schedule, rule = config.build_parts(loads_config(SCALING + "c_w = 0\n"))
+        assert rule.c_w == 0.0
+        assert schedule.w == 0.0
+
     @pytest.mark.parametrize("text, message", [
         (MINIMAL.replace("cycles = 4", "cycles = 4\nw = 0.3"),
          "pulse width w=0.3 >= interval tau=0.25"),

@@ -727,6 +727,28 @@ class TestRunProtected:
         )
         assert uncoupled.phi <= 1e-8
 
+    def test_one_bath_exponential_per_experiment(self, monkeypatch):
+        calls = []
+
+        def counting_expm(h, t, *args):
+            calls.append((h, t))
+            return expm_hermitian(h, t, *args)
+
+        monkeypatch.setattr(engine, "expm_hermitian", counting_expm)
+        spec, bath, schedule, _, _ = quick_protected(j=0.1)
+        assert len(calls) == 1
+        assert calls[0][0] is bath.h_b and calls[0][1] == schedule.total_time
+
+    def test_twin_error_phase_does_not_see_the_bath(self):
+        # simulate_finite_pulse's shape: finite pulses, penalty gated off in
+        # the windows; the twin's Phi is taken on the system space alone
+        from aqc_shield.codes import penalty_hamiltonian
+        pen = penalty_hamiltonian(universal_group(4), 1.0)
+        phis = [quick_protected(j=0.1, total_time=2.4, tau=0.25, w=0.05, tol=1e-8,
+                                penalty=pen, penalty_during_pulse=False, seed=seed)[4].phi
+                for seed in (1234, 1241, 1248)]
+        assert phis[0] == phis[1] == phis[2]
+
     def test_dimension_mismatch_rejected(self):
         spec = encoded_spec()
         schedule = pdd_schedule(universal_group(2), 0.25, 0.0, 2)
@@ -742,7 +764,8 @@ class TestInteractionFrame:
         bath = linear_decoherence(1, 1, 0.0, seed=2)
         h = protected_hamiltonian(spec, bath, schedule)
         u_total, _ = propagate_with_stats(h, 2.0)
-        u_tilde = dagger(frame_unitary(spec, bath, schedule)) @ u_total
+        u_frame = np.kron(frame_unitary(spec, schedule), expm_hermitian(bath.h_b, 2.0))
+        u_tilde = dagger(u_frame) @ u_total
         assert op_norm(u_tilde - np.eye(4)) <= 1e-9
 
     def test_control_only_gives_pulse_product(self):

@@ -20,8 +20,8 @@ which goes to standard error and into no file, is printed as it stands, and
 then the margin of every check in ``verify.ALL_CHECKS`` with ``repr``, one
 line per check (the runtime budget, which is no margin, is left out), and
 last each simulate run's ``report.budget6`` (the three Phi-budget terms,
-their total and both flags) and ``report.pred8``, with ``repr``; these reach
-no file.  A refactor that claims byte-identical outputs is checked by one
+their total and both flags), ``report.pred8`` and the twin's error phase
+``uncoupled.phi``, with ``repr``; these reach no file.  A refactor that claims byte-identical outputs is checked by one
 ``diff`` of the listings of the two commits.  Logs go to standard error;
 nothing under ``perfbench/`` is written.
 """
@@ -86,7 +86,8 @@ def _write_ini(source: str, seed: int, out_dir: str) -> str:
 
 
 def _save_run_states(path: str, out_dir: str) -> list[str]:
-    """Save the run's states and return its ``budget6`` and ``pred8`` lines."""
+    """Save the run's states and return its ``budget6``, ``pred8`` and twin
+    Phi lines."""
     cfg = config.load_config(path)
     result = runner.execute_experiment(cfg)
     m = cfg.model
@@ -101,7 +102,8 @@ def _save_run_states(path: str, out_dir: str) -> list[str]:
     for label, array in arrays.items():
         np.save(os.path.join(out_dir, f"{label}.npy"), array)
     report = result.report
-    return [f"budget6: {report.budget6!r}", f"pred8: {report.pred8!r}"]
+    return [f"budget6: {report.budget6!r}", f"pred8: {report.pred8!r}",
+            f"twin phi: {result.uncoupled.phi!r}"]
 
 
 def _margins() -> list[str]:
